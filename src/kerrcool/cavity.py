@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InstabilityError
+from .errors import ConvergenceError, InstabilityError, InvariantError
 from .params import SystemParams
-from .steady import SteadyState, lower_branch_array
+from .steady import SteadyState, lower_branch_array, lower_root
 from . import steady as _steady
 
 
@@ -176,8 +176,7 @@ def exceptional_points(p: SystemParams, n_in: float,
 
     def residual_fn(mult):
         def h(delta):
-            nc = lower_branch_array(p, np.array([delta]), n_in)[0]
-            return delta + mult * p.kerr * nc
+            return delta + mult * p.kerr * lower_root(p, delta, n_in)
         return h
 
     out = []
@@ -256,8 +255,10 @@ def scattering_rates(ss: SteadyState, p: SystemParams) -> RateReport:
                  * p.kappa * p.omega_m) / denom
     # scale-aware consistency guard: difference of the two spectrum values
     # cancels near the backaction-evasion point
-    assert abs(gamma_opt - (gamma_as - gamma_s)) <= 1e-10 * (gamma_as + gamma_s + 1e-300), \
-        "closed-form optical damping disagrees with rate difference"
+    if not abs(gamma_opt - (gamma_as - gamma_s)) <= 1e-10 * (gamma_as + gamma_s + 1e-300):
+        raise InvariantError(
+            f"closed-form optical damping {gamma_opt!r} disagrees with rate "
+            f"difference {gamma_as - gamma_s!r}")
     return RateReport(
         gamma_stokes=gamma_s,
         gamma_antistokes=gamma_as,

@@ -214,7 +214,10 @@ def spec_from_document(doc: dict) -> SweepSpec:
         kind = SweepKind(doc["kind"].strip())
     except ValueError:
         raise ConfigError(f"unknown sweep kind {doc['kind']!r}") from None
-    mode = Mode(doc.get("mode", "nonlinear").strip())
+    try:
+        mode = Mode(doc.get("mode", "nonlinear").strip())
+    except ValueError:
+        raise ConfigError(f"unknown sweep mode {doc['mode']!r}") from None
     ranges = {}
     for axis in ("detuning_hz", "g0_hz", "omega_frac"):
         if axis in doc:
@@ -333,6 +336,17 @@ def _cmd_reproduce(args) -> int:
 
 # ----------------------------------------------------------------------
 
+def _grid_points(raw: str) -> int:
+    """argparse type of a spectrum grid size: an int of at least 2."""
+    try:
+        count = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {count}")
+    return count
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="key-value parameter file (cyclic Hz)")
     sub.add_argument("--out", help="output path (default stdout)")
@@ -364,7 +378,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("spectrum", help="photon / force / mechanical spectrum to CSV")
     _add_common(s); _add_point(s)
     s.add_argument("--kind", choices=("nn", "ff", "bb"), default="nn")
-    s.add_argument("--points", type=int, default=2001)
+    s.add_argument("--points", type=_grid_points, default=2001)
     s.add_argument("--omega-span-hz", type=float, default=None)
     s.add_argument("--xi", type=float, default=None)
     s.add_argument("--n-s", type=float, default=None)

@@ -25,3 +25,8 @@ class InstabilityError(KerrcoolError):
 
 class ConvergenceError(KerrcoolError):
     """Iterative routine (quadrature, bisection) failed to converge."""
+
+
+class InvariantError(KerrcoolError):
+    """A result broke an identity the method guarantees (for example a
+    stable middle root, or two routes to one rate that disagree)."""

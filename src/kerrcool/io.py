@@ -1,9 +1,11 @@
 """Config parsing and deterministic CSV/JSON output."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
+from io import StringIO
 from pathlib import Path
 
 from .errors import ConfigError
@@ -53,7 +55,9 @@ def _format_cell(value) -> str:
 def rows_to_csv(rows: list, columns: list | None = None) -> str:
     """Render dict rows as CSV with a fixed column order (first line header).
 
-    Columns default to the union of keys in first-appearance order.
+    Columns default to the union of keys in first-appearance order.  Cells
+    holding a comma, quote or line break are quoted, as is the lone empty
+    cell of a one-column row; all others are written bare.
     """
     if columns is None:
         columns = []
@@ -61,10 +65,12 @@ def rows_to_csv(rows: list, columns: list | None = None) -> str:
             for key in row:
                 if key not in columns:
                     columns.append(key)
-    lines = [",".join(columns)]
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+        writer.writerow([_format_cell(row.get(col)) for col in columns])
+    return buf.getvalue()
 
 
 def _json_default(value):

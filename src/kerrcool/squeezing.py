@@ -18,7 +18,7 @@ import numpy as np
 
 from .cavity import photon_spectrum_values, spectrum_denominator, scattering_rates
 from .cooling import occupation
-from .errors import InstabilityError
+from .errors import InstabilityError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
 
@@ -92,7 +92,9 @@ class SqueezeSpec:
     def from_chi(cls, xi: float, kappa: float, chi_abs: float,
                  phase: float = 0.0) -> "SqueezeSpec":
         n_s, m_s = correlators_from_chi(kappa, chi_abs)
-        assert abs(m_s ** 2 - n_s * (n_s + 1.0)) <= 1e-12 * max(1.0, m_s ** 2)
+        if not abs(m_s ** 2 - n_s * (n_s + 1.0)) <= 1e-12 * max(1.0, m_s ** 2):
+            raise InvariantError(
+                f"DPA correlators break M_s^2 = N_s(N_s+1): N_s={n_s!r}, M_s={m_s!r}")
         r = squeezing_factor(xi, n_s)
         return cls(xi=xi, n_s=n_s, m_s=m_s, phase=phase, r=r, db=db_from_factor(r))
 
@@ -163,7 +165,7 @@ def matched_squeeze(ss: SteadyState, p: SystemParams, xi: float) -> SqueezeSpec:
     (wp = sqrt(N_s/(N_s+1))) at the optimal phase."""
     wp2 = sideband_asymmetry(ss, p)
     if not wp2 < 1.0:
-        raise AssertionError("wp >= 1 cannot occur for Delta_eff, omega_m > 0")
+        raise InvariantError(f"sideband ratio wp^2 = {wp2!r} >= 1: needs Delta_eff, omega_m > 0")
     n_s = wp2 / (1.0 - wp2)
     return SqueezeSpec.from_n_s(xi, n_s, optimal_phase(ss, p))
 

@@ -93,14 +93,16 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 # vectorized occupation kernel
 
-def _rate_arrays(p: SystemParams, deltas: np.ndarray, n_c: np.ndarray):
-    """(Gamma_S, Gamma_opt) over arrays; intrinsic-Kerr parametric strength."""
+def _rate_arrays(p: SystemParams, deltas, n_c):
+    """(Gamma_S, Gamma_opt) over arrays or floats; intrinsic-Kerr parametric
+    strength.  Squares are products, so floats round like arrays."""
     lam = p.kerr * n_c
     dt = deltas + 2.0 * lam
     d_eff = lam - dt
-    den = (dt ** 2 - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam ** 2) ** 2 \
-        + p.kappa ** 2 * p.omega_m ** 2
-    g_s = p.g0 ** 2 * n_c * p.kappa * ((d_eff - p.omega_m) ** 2 + p.kappa ** 2 / 4.0) / den
+    core = dt * dt - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam * lam
+    den = core * core + p.kappa ** 2 * p.omega_m ** 2
+    red = d_eff - p.omega_m
+    g_s = p.g0 ** 2 * n_c * p.kappa * (red * red + p.kappa ** 2 / 4.0) / den
     g_opt = 4.0 * p.g0 ** 2 * n_c * d_eff * p.kappa * p.omega_m / den
     return g_s, g_opt
 
@@ -118,13 +120,25 @@ def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_in: float,
 
 
 def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0.0) -> float:
-    v, _, _, _ = _occupation_profile(p, np.array([delta]), n_in, xi)
-    return float(v[0])
+    """One golden-section probe of `_occupation_profile`, on floats."""
+    delta = float(delta)
+    g_s, g_opt = _rate_arrays(p, delta, steady.lower_root(p, delta, n_in))
+    denom = p.gamma_m + g_opt
+    if not denom > 0.0:
+        return math.inf
+    n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
+    return n_m if math.isfinite(n_m) and n_m > 0.0 else math.inf
 
 
 def _cooperativity_profile(p: SystemParams, deltas: np.ndarray, n_in: float):
     n_c = steady.lower_branch_array(p, deltas, n_in)
     _, g_opt = _rate_arrays(p, deltas, n_c)
+    return g_opt / p.gamma_m
+
+
+def _cooperativity_scalar(p: SystemParams, delta: float, n_in: float) -> float:
+    delta = float(delta)
+    _, g_opt = _rate_arrays(p, delta, steady.lower_root(p, delta, n_in))
     return g_opt / p.gamma_m
 
 
@@ -198,7 +212,7 @@ def max_damping_point(p: SystemParams, n_in: float,
     grid = np.linspace(lo, hi, grid_points)
     d, negc = _grid_golden_min(
         lambda g: -_cooperativity_profile(p, g, n_in),
-        lambda x: -float(_cooperativity_profile(p, np.array([x]), n_in)[0]),
+        lambda x: -_cooperativity_scalar(p, x, n_in),
         grid,
     )
     return d, -negc
@@ -319,7 +333,7 @@ def detuning_profile(p: SystemParams, n_in: float, deltas,
                 row["skewness"] = g1
                 row["skewness_effective"] = g1 - g1_lin_const
             if linear_reference:
-                row["n_c_linear"] = float(steady.lower_branch_array(p_lin, np.array([d]), n_in)[0])
+                row["n_c_linear"] = steady.lower_root(p_lin, d, n_in)
                 ss_lin = steady.steady_at(p_lin, d, n_in)
                 row["c_eff_linear"] = cavity.scattering_rates(ss_lin, p_lin).c_eff
                 try:
@@ -465,7 +479,8 @@ def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
 
     if not (n_m_at(lo) > 1.0 and n_m_at(hi) < 1.0):
         raise KerrcoolError(
-            f"occupation does not cross one phonon inside bracket {bracket}")
+            "occupation does not cross one phonon inside bracket "
+            f"({float(lo)!r}, {float(hi)!r})")
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if n_m_at(mid) > 1.0:
