@@ -4,6 +4,8 @@ Covers the driven susceptibility, the asymmetric photon-number spectrum,
 its pole structure (including the exceptional points where the two poles
 coalesce), the truncated moment-based skewness used to quantify the
 spectral asymmetry, and the Stokes / anti-Stokes scattering rates.
+`rates` is the one home of the closed-form Stokes rate and optical damping;
+`scattering_rates` and the sweep kernels take theirs from it.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ def driven_susceptibility(omega, ss: SteadyState, p: SystemParams):
 
 def spectrum_denominator(omega, ss: SteadyState, p: SystemParams):
     """Quartic denominator [Delta~^2 - w^2 + kappa^2/4 - |Lambda|^2]^2
-    + kappa^2 w^2 shared by the photon spectrum and the rates."""
+    + kappa^2 w^2 of the photon and the squeezed force spectra."""
     omega = np.asarray(omega, dtype=float)
     core = ss.delta_tilde ** 2 - omega ** 2 + p.kappa ** 2 / 4.0 - ss.lambda_abs ** 2
     return core ** 2 + p.kappa ** 2 * omega ** 2
@@ -245,20 +247,34 @@ def effective_skewness(p: SystemParams, n_in: float, delta: float,
     return g1 - g1_lin
 
 
+def rates(p: SystemParams, delta, n_c):
+    """Closed-form (Gamma_S, Gamma_opt) at bare detuning `delta` and photon
+    number `n_c`, on floats or arrays, with the intrinsic-Kerr parametric
+    strength |Lambda| = K n_c: Gamma_S = g0^2 S_nn[-omega_m] and
+    Gamma_opt = Gamma_AS - Gamma_S.  Squares are products, so floats round
+    like arrays."""
+    lam = p.kerr * n_c
+    dt = delta + 2.0 * lam
+    d_eff = lam - dt
+    core = dt * dt - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam * lam
+    den = core * core + p.kappa ** 2 * p.omega_m ** 2
+    red = d_eff - p.omega_m
+    g_s = p.g0 ** 2 * n_c * p.kappa * (red * red + p.kappa ** 2 / 4.0) / den
+    g_opt = 4.0 * p.g0 ** 2 * n_c * d_eff * p.kappa * p.omega_m / den
+    return g_s, g_opt
+
+
 def scattering_rates(ss: SteadyState, p: SystemParams) -> RateReport:
-    """Stokes and anti-Stokes rates g0^2 S_nn[-+omega_m] plus the optical
-    damping in closed form; the two routes agree to rounding."""
-    gamma_s = p.g0 ** 2 * float(photon_spectrum_values(-p.omega_m, ss, p))
+    """Stokes rate and optical damping from `rates`, anti-Stokes rate
+    g0^2 S_nn[+omega_m] from the spectrum; the two routes agree to rounding."""
+    gamma_s, gamma_opt = rates(p, ss.detuning, ss.n_c)
     gamma_as = p.g0 ** 2 * float(photon_spectrum_values(p.omega_m, ss, p))
-    denom = float(spectrum_denominator(p.omega_m, ss, p))
-    gamma_opt = (4.0 * p.g0 ** 2 * ss.n_c * (ss.lambda_abs - ss.delta_tilde)
-                 * p.kappa * p.omega_m) / denom
-    # scale-aware consistency guard: difference of the two spectrum values
-    # cancels near the backaction-evasion point
-    if not abs(gamma_opt - (gamma_as - gamma_s)) <= 1e-10 * (gamma_as + gamma_s + 1e-300):
+    # scale-aware consistency guard: Gamma_opt cancels near the
+    # backaction-evasion point
+    if not abs(gamma_s + gamma_opt - gamma_as) <= 1e-10 * (gamma_as + gamma_s + 1e-300):
         raise InvariantError(
-            f"closed-form optical damping {gamma_opt!r} disagrees with rate "
-            f"difference {gamma_as - gamma_s!r}")
+            f"closed-form anti-Stokes rate {gamma_s + gamma_opt!r} disagrees with "
+            f"the spectrum value {gamma_as!r}")
     return RateReport(
         gamma_stokes=gamma_s,
         gamma_antistokes=gamma_as,

@@ -7,6 +7,7 @@ Exit codes: 0 success (including partial sweeps with per-row errors),
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -198,12 +199,22 @@ def _cmd_squeeze(args) -> int:
     return 0
 
 
+def _spec_number(convert, raw: str, what: str):
+    """`convert(raw)` for a sweep-spec value, as a config error on failure."""
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{what} must be {convert.__name__}, got {raw!r}") from None
+
+
 def _parse_axis(raw: str) -> AxisRange:
     parts = [s.strip() for s in raw.split(",")]
     if len(parts) not in (3, 4):
         raise ConfigError(f"axis must be start,stop,count[,scale]: {raw!r}")
     scale = parts[3] if len(parts) == 4 else "linear"
-    return AxisRange(float(parts[0]), float(parts[1]), int(parts[2]), scale)
+    return AxisRange(_spec_number(float, parts[0], "axis start"),
+                     _spec_number(float, parts[1], "axis stop"),
+                     _spec_number(int, parts[2], "axis count"), scale)
 
 
 def spec_from_document(doc: dict) -> SweepSpec:
@@ -222,8 +233,9 @@ def spec_from_document(doc: dict) -> SweepSpec:
     for axis in ("detuning_hz", "g0_hz", "omega_frac"):
         if axis in doc:
             ranges[axis] = _parse_axis(doc[axis])
-    xi = float(doc["xi"]) if "xi" in doc else None
-    cap = float(doc.get("cap_fraction", CRITICAL_POWER_FRACTION))
+    xi = _spec_number(float, doc["xi"], "xi") if "xi" in doc else None
+    cap = _spec_number(float, doc.get("cap_fraction", CRITICAL_POWER_FRACTION),
+                       "cap_fraction")
     return SweepSpec(kind=kind, ranges=ranges, mode=mode, cap_fraction=cap,
                      squeeze_xi=xi)
 
@@ -250,48 +262,38 @@ def _merge_modes(nl_rows, lin_rows, key):
     return merged
 
 
+#: Targets comparing the two modes at g0/2pi = 15 kHz: sweep kind,
+#: omega_m/kappa axis (start, stop, scale), xi of the nonlinear run and of
+#: the linear-comparison run.
+TWO_MODE_TARGETS = {
+    "fig7": (SweepKind.SIDEBAND_SWEEP, (0.02, 2.0, "log"), None, None),
+    "fig8": (SweepKind.OPTIMAL_POWER_CURVE, (0.02, 1.0, "log"), None, None),
+    "fig9": (SweepKind.SIDEBAND_SWEEP_SQUEEZED, (0.02, 2.0, "log"), 0.9, 0.9),
+    "fig10": (SweepKind.SIDEBAND_SWEEP_SQUEEZED, (0.02, 0.5, "log"), 0.44, 0.99),
+}
+
+
 def _reproduce(target: str, p: SystemParams, jobs: int, points: int | None):
     n = points or sweeps.OUTER_AXIS_POINTS
-    prof_pts = points or sweeps.PROFILE_POINTS
     cap = CRITICAL_POWER_FRACTION
-    if target in ("fig2", "fig3", "fig5"):
-        ax = AxisRange(-12.0 * p.omega_m / TAU, -0.01 * p.omega_m / TAU, prof_pts)
-        n_in = sweeps.equal_drive(p, cap)
-        return sweeps.detuning_profile(p, n_in, TAU * ax.grid(),
-                                       include_skewness=False)
-    if target == "fig4":
+    if target in ("fig2", "fig3", "fig4", "fig5"):
+        # fig4 trades the linear reference for the skewness columns
+        skew = target == "fig4"
         ax = AxisRange(-12.0 * p.omega_m / TAU, -0.01 * p.omega_m / TAU,
-                       points or 1201)
-        n_in = sweeps.equal_drive(p, cap)
-        return sweeps.detuning_profile(p, n_in, TAU * ax.grid(),
-                                       include_skewness=True,
-                                       linear_reference=False)
+                       points or (1201 if skew else sweeps.PROFILE_POINTS))
+        return sweeps.detuning_profile(p, sweeps.equal_drive(p, cap), TAU * ax.grid(),
+                                       include_skewness=skew, linear_reference=not skew)
     if target == "fig6":
         spec = SweepSpec(SweepKind.COUPLING_SWEEP,
                          {"g0_hz": AxisRange(1.7e3, 35e3, n)})
         return sweeps.run_sweep(spec, p, jobs)
-    if target in ("fig7", "fig9"):
-        xi = 0.9 if target == "fig9" else None
-        kind = SweepKind.SIDEBAND_SWEEP_SQUEEZED if xi else SweepKind.SIDEBAND_SWEEP
-        ax = {"omega_frac": AxisRange(0.02, 2.0, n, "log")}
+    if target in TWO_MODE_TARGETS:
+        kind, (lo, hi, scale), xi_nl, xi_lin = TWO_MODE_TARGETS[target]
+        ax = {"omega_frac": AxisRange(lo, hi, n, scale)}
         p15 = p.replace(g0=TAU * 15e3)
-        nl = sweeps.run_sweep(SweepSpec(kind, ax, Mode.NONLINEAR, squeeze_xi=xi), p15, jobs)
-        lin = sweeps.run_sweep(SweepSpec(kind, ax, Mode.LINEAR_COMPARISON, squeeze_xi=xi), p15, jobs)
-        return _merge_modes(nl, lin, "omega_frac")
-    if target == "fig8":
-        ax = {"omega_frac": AxisRange(0.02, 1.0, n, "log")}
-        p15 = p.replace(g0=TAU * 15e3)
-        nl = sweeps.run_sweep(SweepSpec(SweepKind.OPTIMAL_POWER_CURVE, ax), p15, jobs)
-        lin = sweeps.run_sweep(SweepSpec(SweepKind.OPTIMAL_POWER_CURVE, ax,
-                                         Mode.LINEAR_COMPARISON), p15, jobs)
-        return _merge_modes(nl, lin, "omega_frac")
-    if target == "fig10":
-        ax = {"omega_frac": AxisRange(0.02, 0.5, n, "log")}
-        p15 = p.replace(g0=TAU * 15e3)
-        nl = sweeps.run_sweep(SweepSpec(SweepKind.SIDEBAND_SWEEP_SQUEEZED, ax,
-                                        Mode.NONLINEAR, squeeze_xi=0.44), p15, jobs)
-        lin = sweeps.run_sweep(SweepSpec(SweepKind.SIDEBAND_SWEEP_SQUEEZED, ax,
-                                         Mode.LINEAR_COMPARISON, squeeze_xi=0.99), p15, jobs)
+        nl = sweeps.run_sweep(SweepSpec(kind, ax, Mode.NONLINEAR, squeeze_xi=xi_nl), p15, jobs)
+        lin = sweeps.run_sweep(SweepSpec(kind, ax, Mode.LINEAR_COMPARISON, squeeze_xi=xi_lin),
+                               p15, jobs)
         return _merge_modes(nl, lin, "omega_frac")
     if target == "appF":
         m = points or sweeps.MAP_POINTS
@@ -336,15 +338,23 @@ def _cmd_reproduce(args) -> int:
 
 # ----------------------------------------------------------------------
 
-def _grid_points(raw: str) -> int:
-    """argparse type of a spectrum grid size: an int of at least 2."""
-    try:
-        count = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {count}")
-    return count
+def _bounded(convert, lo, hi=math.inf):
+    """argparse type: `convert(raw)`, refused outside [lo, hi]."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {raw!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {raw}")
+        return value
+    return parse
+
+
+#: A spectrum grid size, and a squeezing purity.
+_grid_points = _bounded(int, 2)
+_purity = _bounded(float, 0.0, 1.0)
 
 
 def _add_common(sub):
@@ -380,7 +390,7 @@ def build_parser() -> _Parser:
     s.add_argument("--kind", choices=("nn", "ff", "bb"), default="nn")
     s.add_argument("--points", type=_grid_points, default=2001)
     s.add_argument("--omega-span-hz", type=float, default=None)
-    s.add_argument("--xi", type=float, default=None)
+    s.add_argument("--xi", type=_purity, default=None)
     s.add_argument("--n-s", type=float, default=None)
     s.add_argument("--squeeze-db", type=float, default=None)
     s.set_defaults(func=_cmd_spectrum)
@@ -395,7 +405,7 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("squeeze", help="matched squeezed drive and suppressed backaction")
     _add_common(s); _add_point(s)
-    s.add_argument("--xi", type=float, required=True)
+    s.add_argument("--xi", type=_purity, required=True)
     s.set_defaults(func=_cmd_squeeze)
 
     s = subs.add_parser("sweep", help="run a sweep spec file")

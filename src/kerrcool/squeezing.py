@@ -174,17 +174,14 @@ def squeezed_backaction(ss: SteadyState, p: SystemParams, xi: float):
     """Backaction floor under optimal-phase, gain-matched squeezed input.
 
     Returns (n_ba_squeezed, wp, n_s_opt, r, db); the floor is (1 - xi)
-    times the vacuum backaction limit.
+    times the vacuum backaction limit.  The gain comes from
+    `matched_squeeze`, so a heating-side point raises its InvariantError.
     """
     from .cooling import backaction_limit
 
-    wp2 = sideband_asymmetry(ss, p)
-    wp = math.sqrt(wp2)
-    n_s = wp2 / (1.0 - wp2)
-    sinh2r = xi * wp2 / (1.0 - wp2)
-    r = math.asinh(math.sqrt(sinh2r))
-    n_ba = backaction_limit(p, ss.delta_eff)
-    return (1.0 - xi) * n_ba, wp, n_s, r, db_from_factor(r)
+    sq = matched_squeeze(ss, p, xi)
+    wp = math.sqrt(sideband_asymmetry(ss, p))
+    return (1.0 - xi) * backaction_limit(p, ss.delta_eff), wp, sq.n_s, sq.r, sq.db
 
 
 def occupation_with_squeezing(ss: SteadyState, p: SystemParams, sq: SqueezeSpec) -> float:

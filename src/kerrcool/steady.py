@@ -11,7 +11,9 @@ polished with Newton steps in extended precision: the interesting drives
 sit a fraction 1e-7 below the bifurcation, where the cubic is nearly
 degenerate and naive root finding loses digits.
 
-Two paths share that recipe.  The vector path (`_closed_form_roots`,
+The cubic's resolvent pair (L0, L1) lives in `_resolvent`, on floats and
+arrays alike; both root paths and `cubic_discriminant_rel` build on it.
+Two paths share the root recipe.  The vector path (`_closed_form_roots`,
 `_newton_polish`, `lower_branch_array`) serves detuning grids.  The scalar
 path (`_cubic_roots`, `_polish_root`, `lower_root`, `photon_branches`)
 serves point solves and the golden-section probes of the optimizers, in
@@ -19,6 +21,7 @@ plain float/complex arithmetic with an `np.longdouble` polish, at about a
 tenth of the cost of a one-element array.  The two gave bit-identical
 lower roots on 16,800 seeded random and near-cusp points;
 tests/test_scalar_root.py pins their agreement at 1e-12 relative.
+Every `SteadyState` is built by `state_for_root`.
 """
 from __future__ import annotations
 
@@ -115,16 +118,22 @@ _W_PLUS = cmath.exp(1j * math.pi / 3.0)
 _W_MINUS = cmath.exp(-1j * math.pi / 3.0)
 
 
+def _resolvent(k_eff, delta, kappa, n_in):
+    """Resolvent pair (L0, L1) of the photon cubic, on floats or arrays:
+    L0 = 3 kappa^2/4 - Delta^2 and L1 = -(9 kappa^2/4 + Delta^2) Delta
+    - 27 kappa K_eff n_in / 2."""
+    l0 = 0.75 * kappa * kappa - delta * delta
+    l1 = -(2.25 * kappa * kappa + delta * delta) * delta - 13.5 * kappa * k_eff * n_in
+    return l0, l1
+
+
 def _closed_form_roots(k_eff, delta, kappa, n_in):
     """The three complex roots of the photon cubic, vectorized over delta.
 
-    Uses the explicit resolvent: Sigma = cbrt(sqrt(L0^3 + L1^2) + L1) with
-    L0 = 3 kappa^2/4 - Delta^2 and L1 = -(9 kappa^2/4 + Delta^2) Delta
-    - 27 kappa K_eff n_in / 2.
+    Uses the explicit resolvent: Sigma = cbrt(sqrt(L0^3 + L1^2) + L1).
     """
     delta = np.asarray(delta, dtype=float)
-    l0 = 0.75 * kappa * kappa - delta * delta
-    l1 = -(2.25 * kappa * kappa + delta * delta) * delta - 13.5 * kappa * k_eff * n_in
+    l0, l1 = _resolvent(k_eff, delta, kappa, n_in)
     s = np.sqrt(l0.astype(complex) ** 3 + np.asarray(l1, dtype=complex) ** 2)
     arg = s + l1
     # near-cancellation: the opposite square-root branch is equally valid
@@ -188,8 +197,7 @@ def _newton_polish(k_eff, delta, kappa, n_in, roots):
 def _cubic_roots(k_eff: float, delta: float, kappa: float, n_in: float):
     """The three complex roots of the photon cubic at one detuning: the
     scalar twin of `_closed_form_roots`, step for step."""
-    l0 = 0.75 * kappa * kappa - delta * delta
-    l1 = -(2.25 * kappa * kappa + delta * delta) * delta - 13.5 * kappa * k_eff * n_in
+    l0, l1 = _resolvent(k_eff, delta, kappa, n_in)
     disc = l0 * (l0 * l0) + l1 * l1
     s = cmath.sqrt(disc)
     arg = s + l1
@@ -399,20 +407,7 @@ def solve_steady(p: SystemParams, op: OperatingPoint) -> SteadyState:
         n_c = stable[-1][0] if op.branch_policy is BranchPolicy.UPPER_BRANCH else stable[0][0]
         branch = Branch.MONOSTABLE
 
-    k_eff = effective_kerr(p)
-    lam = p.kerr * n_c
-    return SteadyState(
-        n_c=n_c,
-        phi_c=_coherent_phase(p, k_eff, op.detuning, n_c),
-        k_eff=k_eff,
-        delta_tilde=op.detuning + 2.0 * lam,
-        lambda_abs=lam,
-        g_abs=p.g0 * math.sqrt(n_c),
-        q_static=-math.sqrt(2.0) * p.g0 * p.omega_m * n_c / (p.omega_m ** 2 + p.gamma_m ** 2 / 4.0),
-        branch=branch,
-        detuning=op.detuning,
-        n_in=op.n_in,
-    )
+    return state_for_root(p, op.detuning, op.n_in, n_c, branch)
 
 
 def steady_at(p: SystemParams, delta: float, n_in: float,
@@ -424,7 +419,8 @@ def steady_at(p: SystemParams, delta: float, n_in: float,
 def state_for_root(p: SystemParams, delta: float, n_in: float, n_c: float,
                    branch: Branch = Branch.BISTABLE_MIDDLE) -> SteadyState:
     """SteadyState built on an explicitly chosen photon-number root, e.g.
-    the classically unstable middle branch."""
+    the classically unstable middle branch; `solve_steady` builds its
+    states here too."""
     k_eff = effective_kerr(p)
     lam = p.kerr * n_c
     return SteadyState(
@@ -446,8 +442,7 @@ def cubic_discriminant_rel(p: SystemParams, delta: float, n_in: float) -> float:
     by its no-cancellation scale; vanishes at the bifurcation cusp and is
     negative exactly where three real roots coexist."""
     k_eff = effective_kerr(p)
-    l0 = 0.75 * p.kappa ** 2 - delta * delta
-    l1 = -(2.25 * p.kappa ** 2 + delta * delta) * delta - 13.5 * p.kappa * k_eff * n_in
+    l0, l1 = _resolvent(k_eff, delta, p.kappa, n_in)
     num = l0 ** 3 + l1 ** 2
     scale = ((0.75 * p.kappa ** 2 + delta * delta) ** 3
              + ((2.25 * p.kappa ** 2 + delta * delta) * abs(delta)

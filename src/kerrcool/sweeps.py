@@ -93,25 +93,11 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 # vectorized occupation kernel
 
-def _rate_arrays(p: SystemParams, deltas, n_c):
-    """(Gamma_S, Gamma_opt) over arrays or floats; intrinsic-Kerr parametric
-    strength.  Squares are products, so floats round like arrays."""
-    lam = p.kerr * n_c
-    dt = deltas + 2.0 * lam
-    d_eff = lam - dt
-    core = dt * dt - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam * lam
-    den = core * core + p.kappa ** 2 * p.omega_m ** 2
-    red = d_eff - p.omega_m
-    g_s = p.g0 ** 2 * n_c * p.kappa * (red * red + p.kappa ** 2 / 4.0) / den
-    g_opt = 4.0 * p.g0 ** 2 * n_c * d_eff * p.kappa * p.omega_m / den
-    return g_s, g_opt
-
-
 def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_in: float,
                         xi: float = 0.0):
     """Rate-form occupation along the lower branch, +inf where infeasible."""
     n_c = steady.lower_branch_array(p, deltas, n_in)
-    g_s, g_opt = _rate_arrays(p, deltas, n_c)
+    g_s, g_opt = cavity.rates(p, deltas, n_c)
     denom = p.gamma_m + g_opt
     with np.errstate(all="ignore"):
         n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
@@ -122,7 +108,7 @@ def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_in: float,
 def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0.0) -> float:
     """One golden-section probe of `_occupation_profile`, on floats."""
     delta = float(delta)
-    g_s, g_opt = _rate_arrays(p, delta, steady.lower_root(p, delta, n_in))
+    g_s, g_opt = cavity.rates(p, delta, steady.lower_root(p, delta, n_in))
     denom = p.gamma_m + g_opt
     if not denom > 0.0:
         return math.inf
@@ -132,13 +118,13 @@ def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0
 
 def _cooperativity_profile(p: SystemParams, deltas: np.ndarray, n_in: float):
     n_c = steady.lower_branch_array(p, deltas, n_in)
-    _, g_opt = _rate_arrays(p, deltas, n_c)
+    _, g_opt = cavity.rates(p, deltas, n_c)
     return g_opt / p.gamma_m
 
 
 def _cooperativity_scalar(p: SystemParams, delta: float, n_in: float) -> float:
     delta = float(delta)
-    _, g_opt = _rate_arrays(p, delta, steady.lower_root(p, delta, n_in))
+    _, g_opt = cavity.rates(p, delta, steady.lower_root(p, delta, n_in))
     return g_opt / p.gamma_m
 
 
@@ -333,8 +319,8 @@ def detuning_profile(p: SystemParams, n_in: float, deltas,
                 row["skewness"] = g1
                 row["skewness_effective"] = g1 - g1_lin_const
             if linear_reference:
-                row["n_c_linear"] = steady.lower_root(p_lin, d, n_in)
                 ss_lin = steady.steady_at(p_lin, d, n_in)
+                row["n_c_linear"] = ss_lin.n_c
                 row["c_eff_linear"] = cavity.scattering_rates(ss_lin, p_lin).c_eff
                 try:
                     row["n_m_linear"] = cooling.occupation(ss_lin, p_lin).n_rate
@@ -542,25 +528,17 @@ def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
         g_axis = [TAU * g for g in _axis(spec, "g0_hz").grid()]
         o_axis = list(_axis(spec, "omega_frac").grid())
         values = [(g, o) for g in g_axis for o in o_axis]
+        # then the one-phonon boundary: per coupling, the crossing
+        # frequency bisected inside the swept window
+        bracket = (min(o_axis), max(o_axis))
+        values += [("boundary", g, bracket) for g in g_axis]
     else:
         raise ConfigError(f"unsupported sweep kind {spec.kind}")
 
     tasks = [(spec, p, v) for v in values]
     if jobs > 1:
+        # one task per message: a map's boundary tasks, queued last, each
+        # cost about forty cells, and chunking them together idles workers
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        rows = [_row_worker(t) for t in tasks]
-
-    if spec.kind is SweepKind.GROUND_STATE_MAP:
-        # append the one-phonon boundary: per coupling, the crossing
-        # frequency bisected inside the swept window
-        o_lo, o_hi = min(o_axis), max(o_axis)
-        xi = spec.squeeze_xi or 0.0
-        btasks = [(spec, p, ("boundary", g, (o_lo, o_hi))) for g in g_axis]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows += list(pool.map(_row_worker, btasks))
-        else:
-            rows += [_row_worker(t) for t in btasks]
-    return rows
+            return list(pool.map(_row_worker, tasks))
+    return [_row_worker(t) for t in tasks]

@@ -216,3 +216,7 @@ class TestScatteringRates:
             r = kc.scattering_rates(ss, defaults)
             diff = r.gamma_antistokes - r.gamma_stokes
             assert abs(r.gamma_opt - diff) <= 1e-12 * (r.gamma_antistokes + r.gamma_stokes)
+            # the closed-form Stokes rate is the spectrum's red sideband
+            stokes = defaults.g0 ** 2 * float(
+                photon_spectrum_values(-defaults.omega_m, ss, defaults))
+            assert r.gamma_stokes == pytest.approx(stokes, rel=1e-12, abs=0.0)

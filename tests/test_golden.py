@@ -1,0 +1,67 @@
+"""Reduced-resolution `kerrcool reproduce` outputs against stored goldens.
+
+The files under tests/golden/ were written by the code before the rates,
+resolvent and SteadyState constructors were merged into one function each.
+Text cells must match exactly; numeric cells to 1e-10 relative, which
+leaves room for last-bit rounding but not for a changed formula.
+"""
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from kerrcool.cli import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+RTOL = 1e-10
+
+CASES = [
+    ("fig2_points101.csv", ["fig2", "--points", "101"]),
+    ("fig4_points41.csv", ["fig4", "--points", "41"]),
+    ("fig6_points3.csv", ["fig6", "--points", "3"]),
+    ("fig9_points3.csv", ["fig9", "--points", "3"]),
+    ("appF_points3.csv", ["appF", "--points", "3"]),
+    ("table-values.json", ["table-values", "--format", "json"]),
+]
+
+
+def _as_number(cell):
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _same_cell(expected, actual):
+    """Exact for text and booleans, 1e-10 relative for numbers."""
+    if isinstance(expected, bool) or isinstance(actual, bool):
+        return expected == actual
+    x, y = _as_number(expected), _as_number(actual)
+    if x is None or y is None:
+        return expected == actual
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return math.isclose(x, y, rel_tol=RTOL, abs_tol=0.0)
+
+
+def _cells(name, text):
+    """(location, value) pairs of a CSV table or a flat JSON object."""
+    if name.endswith(".json"):
+        return sorted(json.loads(text).items())
+    rows = list(csv.reader(text.splitlines()))
+    header = rows[0]
+    return [(header, None)] + [((i, col), cell) for i, row in enumerate(rows[1:])
+                               for col, cell in zip(header, row)] + [("rows", len(rows))]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_reproduce_matches_golden(name, argv, tmp_path):
+    out = tmp_path / name
+    assert run_cli(["reproduce", *argv, "--out", str(out)]) == 0
+    expected = _cells(name, (GOLDEN / name).read_text())
+    actual = _cells(name, out.read_text())
+    assert [loc for loc, _ in actual] == [loc for loc, _ in expected]
+    bad = [(loc, e, a) for (loc, e), (_, a) in zip(expected, actual) if not _same_cell(e, a)]
+    assert not bad, f"{len(bad)} cells differ, first: {bad[:3]}"

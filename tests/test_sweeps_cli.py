@@ -195,6 +195,13 @@ class TestRunSweep:
         serial = sweeps.run_sweep(spec, p, jobs=1)
         parallel = sweeps.run_sweep(spec, p, jobs=2)
         assert rows_to_csv(serial) == rows_to_csv(parallel)
+        # a map queues its boundary rows after the cells
+        spec = SweepSpec(SweepKind.GROUND_STATE_MAP,
+                         {"g0_hz": AxisRange(10e3, 30e3, 2),
+                          "omega_frac": AxisRange(0.15, 0.25, 2)})
+        serial = sweeps.run_sweep(spec, defaults, jobs=1)
+        assert [row["kind"] for row in serial] == ["map"] * 4 + ["boundary"] * 2
+        assert rows_to_csv(serial) == rows_to_csv(sweeps.run_sweep(spec, defaults, jobs=2))
 
     def test_optimal_power_curve_modes(self, defaults):
         p = defaults.replace(g0=TAU * 15e3)
@@ -237,16 +244,39 @@ class TestConfigParsing:
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert run_cli(["steady", "--bogus"]) == 1
+        # a purity outside [0, 1] is refused by the parser
+        for argv in (["squeeze", "--xi", "1.5"], ["squeeze", "--xi", "-0.1"],
+                     ["squeeze", "--xi", "x"], ["spectrum", "--kind", "ff", "--xi", "1.5"]):
+            assert run_cli(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--xi" in captured.err and "Traceback" not in captured.err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("f_m = 0.3e6\n")  # missing keys
         assert run_cli(["steady", "--config", str(bad)]) == 2
+        capsys.readouterr()
+        # malformed numbers in a sweep spec
+        spec = tmp_path / "bad.spec"
+        for text, key in (("omega_frac = a, 0.2, 2\n", "axis start"),
+                          ("omega_frac = 0.1, 0.2, 2.5\n", "axis count"),
+                          ("omega_frac = 0.1, 0.2, 2\nxi = x\n", "xi"),
+                          ("omega_frac = 0.1, 0.2, 2\ncap_fraction = most\n", "cap_fraction")):
+            spec.write_text("kind = sideband_sweep_squeezed\n" + text)
+            assert run_cli(["sweep", str(spec)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key}") and "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, capsys):
         # on the heated flank (Delta_eff < 0) the optical anti-damping
         # exceeds gamma_m and the occupation is undefined
         assert run_cli(["cool", "--detuning-hz", "-1.2e6", "--format", "json"]) == 3
+        # blue of resonance no squeezing gain matches the sidebands
+        capsys.readouterr()
+        assert run_cli(["squeeze", "--xi", "0.5", "--detuning-hz", "100000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: sideband ratio") and "Traceback" not in err
 
     def test_table_values_json(self, capsys):
         assert run_cli(["reproduce", "table-values", "--format", "json"]) == 0
