@@ -165,12 +165,14 @@ def exceptional_points(p: SystemParams, n_in: float,
     `probes` points for sign changes and bisecting each.  Returns
     (delta_minus, delta_plus) with delta_minus the -|Lambda| crossing
     (closer to resonance) and delta_plus the -3|Lambda| one; either entry is
-    None when no sign change exists at this drive.
+    None when no sign change exists at this drive, and both are None
+    without intrinsic Kerr or without drive.
     """
-    if p.kerr <= 0:
-        raise ValueError("exceptional points require intrinsic Kerr > 0")
-    if n_in <= 0:
-        raise ValueError("exceptional points require a nonzero drive")
+    if n_in < 0:
+        raise ValueError(f"exceptional points need a drive n_in >= 0, got {n_in!r}")
+    if p.kerr == 0.0 or n_in == 0.0:
+        # |Lambda| = K n_c vanishes: the poles never coalesce
+        return None, None
     lo = bracket[0] if bracket[0] is not None else -10.0 * p.kappa
     hi = bracket[1] if bracket[1] is not None else -1e-6 * p.kappa
     deltas = np.linspace(lo, hi, probes)
@@ -247,21 +249,46 @@ def effective_skewness(p: SystemParams, n_in: float, delta: float,
     return g1 - g1_lin
 
 
+def _rate_parts(p: SystemParams, delta, n_c):
+    """|Lambda| = K n_c, Delta~, and the core and the denominator of the
+    spectrum at +-omega_m: the pieces `rates` and `rate_slopes` share."""
+    lam = p.kerr * n_c
+    dt = delta + 2.0 * lam
+    core = dt * dt - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam * lam
+    return lam, dt, core, core * core + p.kappa ** 2 * p.omega_m ** 2
+
+
 def rates(p: SystemParams, delta, n_c):
     """Closed-form (Gamma_S, Gamma_opt) at bare detuning `delta` and photon
     number `n_c`, on floats or arrays, with the intrinsic-Kerr parametric
     strength |Lambda| = K n_c: Gamma_S = g0^2 S_nn[-omega_m] and
     Gamma_opt = Gamma_AS - Gamma_S.  Squares are products, so floats round
     like arrays."""
-    lam = p.kerr * n_c
-    dt = delta + 2.0 * lam
+    lam, dt, _, den = _rate_parts(p, delta, n_c)
     d_eff = lam - dt
-    core = dt * dt - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam * lam
-    den = core * core + p.kappa ** 2 * p.omega_m ** 2
     red = d_eff - p.omega_m
     g_s = p.g0 ** 2 * n_c * p.kappa * (red * red + p.kappa ** 2 / 4.0) / den
     g_opt = 4.0 * p.g0 ** 2 * n_c * d_eff * p.kappa * p.omega_m / den
     return g_s, g_opt
+
+
+def rate_slopes(p: SystemParams, delta, n_c, d_delta, d_n):
+    """Directional derivative (dGamma_S, dGamma_opt) of `rates` when the
+    detuning moves by `d_delta` and the photon number by `d_n`; plain
+    arithmetic, so it serves floats and arrays as `rates` does."""
+    lam, dt, core, den = _rate_parts(p, delta, n_c)
+    d_lam = p.kerr * d_n
+    d_dt = d_delta + 2.0 * d_lam
+    d_eff, dd_eff = lam - dt, d_lam - d_dt
+    # d(den)/den, with d(core) = 2 (Delta~ dDelta~ - |Lambda| d|Lambda|)
+    d_log_den = 4.0 * core * (dt * d_dt - lam * d_lam) / den
+    red = d_eff - p.omega_m
+    lorentz = red * red + p.kappa ** 2 / 4.0
+    dg_s = p.g0 ** 2 * p.kappa * (d_n * lorentz + n_c * (2.0 * red * dd_eff
+                                                          - lorentz * d_log_den)) / den
+    dg_opt = 4.0 * p.g0 ** 2 * p.kappa * p.omega_m * (
+        d_n * d_eff + n_c * (dd_eff - d_eff * d_log_den)) / den
+    return dg_s, dg_opt
 
 
 def scattering_rates(ss: SteadyState, p: SystemParams) -> RateReport:

@@ -9,8 +9,9 @@ class ConfigError(KerrcoolError):
     """Invalid or incomplete configuration input."""
 
 
-class LinearCavityError(KerrcoolError):
-    """Operation requires a nonzero effective Kerr constant."""
+class LinearCavityError(ConfigError):
+    """Operation requires a nonzero effective Kerr constant, which the
+    configured system lacks."""
 
 
 class BranchPolicyError(KerrcoolError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cavity import photon_spectrum_values, spectrum_denominator, scattering_rates
 from .cooling import occupation
-from .errors import InstabilityError, InvariantError
+from .errors import ConfigError, InstabilityError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
 
@@ -40,15 +40,24 @@ def correlators_from_chi(kappa: float, chi_abs: float):
     return n_s, m_s
 
 
+def _check_drive(xi: float, n_s: float) -> None:
+    """A purity in [0, 1] and a normal correlator N_s >= 0, or ConfigError."""
+    if not 0.0 <= xi <= 1.0:
+        raise ConfigError(f"purity must lie in [0, 1], got {xi!r}")
+    if not n_s >= 0.0:
+        raise ConfigError(f"n_s must be >= 0, got {n_s!r}")
+
+
 def squeezing_factor(xi: float, n_s: float) -> float:
     """Squeezing factor r from sinh^2 r = xi N_s."""
+    _check_drive(xi, n_s)
     return math.asinh(math.sqrt(xi * n_s))
 
 
 def n_s_from_factor(xi: float, r: float) -> float:
     """Inverse of squeezing_factor: N_s = sinh^2(r) / xi."""
-    if xi <= 0:
-        raise ValueError("purity xi must be positive to invert the squeezing factor")
+    if not xi > 0.0:
+        raise ConfigError(f"purity xi must be positive to invert the squeezing factor, got {xi!r}")
     return math.sinh(r) ** 2 / xi
 
 
@@ -73,15 +82,12 @@ class SqueezeSpec:
     db: float      # 10 log10 e^{2r}
 
     def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"purity must lie in [0, 1], got {self.xi!r}")
-        if self.n_s < 0:
-            raise ValueError(f"n_s must be >= 0, got {self.n_s!r}")
+        _check_drive(self.xi, self.n_s)
 
     @classmethod
     def from_n_s(cls, xi: float, n_s: float, phase: float = 0.0) -> "SqueezeSpec":
+        r = squeezing_factor(xi, n_s)   # checks xi and n_s first
         m_s = math.sqrt(n_s * (n_s + 1.0))
-        r = squeezing_factor(xi, n_s)
         return cls(xi=xi, n_s=n_s, m_s=m_s, phase=phase, r=r, db=db_from_factor(r))
 
     @classmethod

@@ -16,7 +16,7 @@ arrays alike; both root paths and `cubic_discriminant_rel` build on it.
 Two paths share the root recipe.  The vector path (`_closed_form_roots`,
 `_newton_polish`, `lower_branch_array`) serves detuning grids.  The scalar
 path (`_cubic_roots`, `_polish_root`, `lower_root`, `photon_branches`)
-serves point solves and the golden-section probes of the optimizers, in
+serves point solves and the slope evaluations of the optimizers, in
 plain float/complex arithmetic with an `np.longdouble` polish, at about a
 tenth of the cost of a one-element array.  The two gave bit-identical
 lower roots on 16,800 seeded random and near-cusp points;
@@ -255,11 +255,19 @@ def _polish_root(k_eff: float, delta: float, kappa: float, n_in: float,
 
 
 def branch_slope(k_eff: float, delta: float, kappa: float, n):
-    """d(kappa n_in)/d n_c along the cubic; negative slope marks the
-    classically unstable middle branch.  Equals
+    """d(kappa n_in)/d n_c along the cubic, on floats or arrays; negative
+    slope marks the classically unstable middle branch.  Equals
     (Delta + 3 K n)(Delta + K n) + kappa^2/4."""
-    n = np.asarray(n, dtype=float)
     return (delta + 3.0 * k_eff * n) * (delta + k_eff * n) + kappa * kappa / 4.0
+
+
+def root_slopes(p: SystemParams, delta, n_c):
+    """(dn_c/dDelta, dn_c/dn_in) along a root n_c of the photon cubic, on
+    floats or arrays, by implicit differentiation:
+    -2 n_c (Delta + K_eff n_c) / f' and kappa / f', f' = `branch_slope`."""
+    k_eff = effective_kerr(p)
+    fp = branch_slope(k_eff, delta, p.kappa, n_c)
+    return -2.0 * n_c * (delta + k_eff * n_c) / fp, p.kappa / fp
 
 
 def photon_branches(p: SystemParams, delta: float, n_in: float):

@@ -22,13 +22,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import cavity, cooling, squeezing, steady
-from .errors import ConfigError, KerrcoolError
+from .errors import ConfigError, ConvergenceError, KerrcoolError
 from .params import (TAU, SystemParams, bath_temperature, bose_occupation,
                      CRITICAL_POWER_FRACTION)
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Default resolutions: dense enough to bracket the near-critical spike in
 #: the occupation landscape (width ~1e-3 kappa at the standard drive).
@@ -106,7 +105,7 @@ def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_in: float,
 
 
 def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0.0) -> float:
-    """One golden-section probe of `_occupation_profile`, on floats."""
+    """`_occupation_profile` at one point, on floats."""
     delta = float(delta)
     g_s, g_opt = cavity.rates(p, delta, steady.lower_root(p, delta, n_in))
     denom = p.gamma_m + g_opt
@@ -128,44 +127,73 @@ def _cooperativity_scalar(p: SystemParams, delta: float, n_in: float) -> float:
     return g_opt / p.gamma_m
 
 
+def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bool):
+    """(Gamma_S, Gamma_opt) on the lower branch and their derivatives along
+    the detuning, or along the input flux."""
+    delta = float(delta)
+    n_c = steady.lower_root(p, delta, n_in)
+    dn_ddelta, dn_dflux = steady.root_slopes(p, delta, n_c)
+    step = (0.0, dn_dflux) if along_flux else (1.0, dn_ddelta)
+    return cavity.rates(p, delta, n_c), cavity.rate_slopes(p, delta, n_c, *step)
+
+
+def _occupation_slope(p: SystemParams, delta: float, n_in: float, xi: float = 0.0,
+                      along_flux: bool = False) -> float:
+    """dn_m/dDelta (or dn_m/dn_in) of `_occupation_scalar`; nan where the
+    occupation is infeasible."""
+    (g_s, g_opt), (dg_s, dg_opt) = _rates_and_slopes(p, delta, n_in, along_flux)
+    denom = p.gamma_m + g_opt
+    if not denom > 0.0:
+        return math.nan
+    n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
+    return ((1.0 - xi) * dg_s - n_m * dg_opt) / denom
+
+
+def _cooperativity_slope(p: SystemParams, delta: float, n_in: float) -> float:
+    """dC_eff/dDelta of `_cooperativity_scalar`."""
+    _, (_, dg_opt) = _rates_and_slopes(p, delta, n_in, along_flux=False)
+    return dg_opt / p.gamma_m
+
+
 # ----------------------------------------------------------------------
-# 1-D minimization: coarse grid bracket + golden-section refinement
+# 1-D searches: a bracket from a coarse grid or from end values, then
+# Brent's method on a root of an exact derivative
 
-def golden_min(f, a: float, b: float, value_rtol: float = 1e-10,
-               max_iter: int = 300):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        lo, hi = (fc, fd) if fc < fd else (fd, fc)
-        if math.isfinite(lo) and hi - lo <= value_rtol * max(abs(lo), 1e-300):
-            if abs(b - a) <= 1e-12 * max(abs(a), abs(b)):
-                break
-    x = c if fc < fd else d
-    return (x, min(fc, fd))
+#: Relative tolerance of every bracketed root: brentq's floor of 4 eps.
+ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def _grid_golden_min(f_grid, f_scalar, grid: np.ndarray, value_rtol: float = 1e-10):
-    """Minimize using a vectorized coarse pass then golden refinement."""
-    vals = f_grid(grid)
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
+    """Root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b),
+    which are not evaluated again; None unless fa and fb differ in sign."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):   # same sign, or nan
+        return None
+    x, info = brentq(lambda x: fa if x == a else fb if x == b else f(x), a, b,
+                     xtol=1e-15 * max(abs(a), abs(b)), rtol=ROOT_RTOL,
+                     full_output=True, disp=False)
+    if not info.converged:
+        raise ConvergenceError(f"Brent root in [{a!r}, {b!r}] did not converge: {info.flag}")
+    return x
+
+
+def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, value, slope):
+    """Minimum of a function sampled as `vals` on `grid`: the least sample
+    picks the bracket [g[i-1], g[i+1]], and the root of `slope` in it
+    refines the point; without a sign change (an edge minimum), or if the
+    sample is lower than the root's value, the grid point stands.
+    Returns (x, value)."""
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return math.nan, math.inf
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    x, fx = golden_min(f_scalar, a, b, value_rtol)
+    a = float(grid[max(0, i - 1)])
+    b = float(grid[min(len(grid) - 1, i + 1)])
+    x = _bracketed_root(slope, a, b, slope(a), slope(b))
+    fx = math.inf if x is None else value(x)
     if vals[i] < fx:
         return float(grid[i]), float(vals[i])
-    return float(x), float(fx)
+    return x, float(fx)
 
 
 def detuning_window(p: SystemParams) -> tuple:
@@ -179,28 +207,25 @@ def optimal_detuning(p: SystemParams, n_in: float, xi: float = 0.0,
                      window: tuple | None = None,
                      grid_points: int = PROFILE_POINTS):
     """Detuning minimizing the (possibly squeezed) rate-form occupation at
-    fixed drive; returns (delta, occupation)."""
+    fixed drive: the grid picks the bracket, Brent's method finds the root
+    of dn_m/dDelta in it.  Returns (delta, occupation)."""
     lo, hi = window or detuning_window(p)
     grid = np.linspace(lo, hi, grid_points)
-    return _grid_golden_min(
-        lambda g: _occupation_profile(p, g, n_in, xi)[0],
-        lambda d: _occupation_scalar(p, d, n_in, xi),
-        grid,
-    )
+    return _grid_slope_min(_occupation_profile(p, grid, n_in, xi)[0], grid,
+                           lambda d: _occupation_scalar(p, d, n_in, xi),
+                           lambda d: _occupation_slope(p, d, n_in, xi))
 
 
 def max_damping_point(p: SystemParams, n_in: float,
                       window: tuple | None = None,
                       grid_points: int = PROFILE_POINTS):
-    """Detuning maximizing the effective cooperativity at fixed drive;
-    returns (delta, C_eff)."""
+    """Detuning maximizing the effective cooperativity at fixed drive, at a
+    root of dC_eff/dDelta; returns (delta, C_eff)."""
     lo, hi = window or detuning_window(p)
     grid = np.linspace(lo, hi, grid_points)
-    d, negc = _grid_golden_min(
-        lambda g: -_cooperativity_profile(p, g, n_in),
-        lambda x: -_cooperativity_scalar(p, x, n_in),
-        grid,
-    )
+    d, negc = _grid_slope_min(-_cooperativity_profile(p, grid, n_in), grid,
+                              lambda x: -_cooperativity_scalar(p, x, n_in),
+                              lambda x: -_cooperativity_slope(p, x, n_in))
     return d, -negc
 
 
@@ -213,10 +238,11 @@ def optimize_operating_point(p: SystemParams,
     """Minimize the rate-form occupation over (detuning, input flux).
 
     Coarse stage: a 64-point log grid over n_in in [1e-3, cap] * n_in_bi
-    crossed with the standard detuning grid; refinement: golden sections
-    alternating between the two axes until the occupation improves by less
-    than value_rtol relative.  Returns (delta, n_in, CoolingReport,
-    converged).
+    crossed with the standard detuning grid.  Refinement alternates
+    between the two axes until the occupation improves by less than
+    value_rtol relative: `optimal_detuning`, then the least of n_m at the
+    ends of the flux bracket [n_in/3, 3 n_in] (capped) and at a root of
+    dn_m/dn_in inside it.  Returns (delta, n_in, CoolingReport, converged).
     """
     if not 0.0 < power_cap <= 1.0:
         raise ConfigError(f"power_cap must be in (0, 1], got {power_cap}")
@@ -235,10 +261,13 @@ def optimize_operating_point(p: SystemParams,
         delta, value = optimal_detuning(p, n_in, xi)
         lo = max(n_in / 3.0, 1e-3 * n_in_bi)
         hi = min(n_in * 3.0, power_cap * n_in_bi)
-        n_in, value = golden_min(
-            lambda flux: _occupation_scalar(p, delta, flux, xi), lo, hi,
-            value_rtol=1e-12,
-        )
+
+        def slope(flux):
+            return _occupation_slope(p, delta, flux, xi, along_flux=True)
+
+        root = _bracketed_root(slope, lo, hi, slope(lo), slope(hi))
+        value, n_in = min((_occupation_scalar(p, delta, flux, xi), flux)
+                          for flux in (lo, hi, root) if flux is not None)
         if abs(prev - value) <= value_rtol * abs(value):
             converged = True
             break
@@ -451,29 +480,25 @@ def _boundary_row(p: SystemParams, g0: float, omega_bracket: tuple, mode: Mode,
 def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
                              cap_fraction: float = CRITICAL_POWER_FRACTION,
                              xi: float = 0.0,
-                             bracket=(0.01, 0.8), iterations: int = 40) -> float:
+                             bracket=(0.01, 0.8)) -> float:
     """Resolved-sideband parameter where the minimum occupation crosses one
-    phonon at fixed coupling, by bisection."""
+    phonon at fixed coupling: Brent's method on n_m*(omega) - 1."""
     lo, hi = bracket
     pb = p.replace(g0=g0)
 
-    def n_m_at(frac):
+    def excess(frac):
         pv = sideband_variant(pb, frac)
         n_in = equal_drive(pv, cap_fraction)
         target = pv.without_kerr() if mode is Mode.LINEAR_COMPARISON else pv
-        return optimal_detuning(target, n_in, xi, grid_points=2001)[1]
+        return optimal_detuning(target, n_in, xi, grid_points=PROFILE_POINTS // 2)[1] - 1.0
 
-    if not (n_m_at(lo) > 1.0 and n_m_at(hi) < 1.0):
+    above = excess(lo)
+    below = excess(hi) if above > 0.0 else math.nan
+    if not (above > 0.0 > below):
         raise KerrcoolError(
             "occupation does not cross one phonon inside bracket "
             f"({float(lo)!r}, {float(hi)!r})")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if n_m_at(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bracketed_root(excess, float(lo), float(hi), above, below)
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +554,7 @@ def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
         o_axis = list(_axis(spec, "omega_frac").grid())
         values = [(g, o) for g in g_axis for o in o_axis]
         # then the one-phonon boundary: per coupling, the crossing
-        # frequency bisected inside the swept window
+        # frequency found by Brent's method inside the swept window
         bracket = (min(o_axis), max(o_axis))
         values += [("boundary", g, bracket) for g in g_axis]
     else:
@@ -538,7 +563,7 @@ def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
     tasks = [(spec, p, v) for v in values]
     if jobs > 1:
         # one task per message: a map's boundary tasks, queued last, each
-        # cost about forty cells, and chunking them together idles workers
+        # cost about ten cells, and chunking them together idles workers
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_row_worker, tasks))
     return [_row_worker(t) for t in tasks]

@@ -1,9 +1,12 @@
 """Reduced-resolution `kerrcool reproduce` outputs against stored goldens.
 
 The files under tests/golden/ were written by the code before the rates,
-resolvent and SteadyState constructors were merged into one function each.
-Text cells must match exactly; numeric cells to 1e-10 relative, which
-leaves room for last-bit rounding but not for a changed formula.
+resolvent and SteadyState constructors were merged into one function each;
+fig6, fig9 and table-values were written again when the 1-D optima became
+roots of exact slopes, which moved their argmin cells toward the 40-digit
+stationary points.  Text cells must match exactly; numeric cells to 1e-10
+relative, which leaves room for last-bit rounding but not for a changed
+formula.
 """
 import csv
 import json

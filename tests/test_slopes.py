@@ -1,0 +1,229 @@
+"""Exact slopes and the bracketed roots built on them: the rate and root
+derivatives against complex-step and 50-digit mpmath derivatives, the
+1-D optima against 40-digit mpmath stationary points, their independence
+of the coarse grid, and the one-phonon boundary against a bisection."""
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import kerrcool as kc
+from kerrcool import cavity, steady, sweeps
+from kerrcool.params import CRITICAL_POWER_FRACTION, TAU
+
+#: Drive fractions of the bifurcation flux, omega_m/kappa values, and
+#: purities of the optimizer cases.
+DRIVES = (1e-2, 0.3, CRITICAL_POWER_FRACTION)
+OMEGA_FRACS = (0.02, 0.2, 2.0)
+PURITIES = (0.0, 0.9)
+
+
+def _system(defaults, omega_frac, linear, g0_hz=15e3):
+    p = sweeps.sideband_variant(defaults.replace(g0=TAU * g0_hz), omega_frac)
+    return p.without_kerr() if linear else p
+
+
+def _cases(defaults):
+    for frac in DRIVES:
+        for omega_frac in OMEGA_FRACS:
+            for linear in (False, True):
+                p = _system(defaults, omega_frac, linear)
+                n_in = frac * steady.bifurcation(p).n_in_bi
+                for xi in PURITIES:
+                    yield p, n_in, xi
+
+
+# ----------------------------------------------------------------------
+# mpmath reference, built from the cubic and the photon spectrum alone
+
+def _mp_lower_root(p, delta, n_in, start):
+    """Root of n[(Delta + K_eff n)^2 + kappa^2/4] = kappa n_in by Newton's
+    method from the float lower root, at the working precision."""
+    k_eff, ka, flux = (mpmath.mpf(x) for x in (kc.effective_kerr(p), p.kappa, n_in))
+    n = mpmath.mpf(start)
+    for _ in range(100):
+        shift = delta + k_eff * n
+        step = (n * (shift * shift + ka * ka / 4) - ka * flux) \
+            / ((delta + 3 * k_eff * n) * shift + ka * ka / 4)
+        n -= step
+        if abs(step) <= mpmath.eps * abs(n):
+            break
+    return n
+
+
+def _mp_rates(p, delta, n_c):
+    """(Gamma_S, Gamma_AS) = g0^2 S_nn[-+omega_m] from the photon spectrum."""
+    g0, ka, w, kerr = (mpmath.mpf(x) for x in (p.g0, p.kappa, p.omega_m, p.kerr))
+    lam = kerr * n_c
+    dt = delta + 2 * lam
+
+    def s_nn(x):
+        return n_c * ka * ((-dt + x + lam) ** 2 + ka ** 2 / 4) \
+            / ((dt ** 2 - x ** 2 + ka ** 2 / 4 - lam ** 2) ** 2 + ka ** 2 * x ** 2)
+    return g0 ** 2 * s_nn(-w), g0 ** 2 * s_nn(w)
+
+
+def _mp_occupation(p, xi, start):
+    """n_m(Delta, n_in) in mpmath."""
+    gm, nth = mpmath.mpf(p.gamma_m), mpmath.mpf(p.n_th)
+
+    def n_m(delta, n_in):
+        g_s, g_as = _mp_rates(p, delta, _mp_lower_root(p, delta, n_in, start))
+        return (gm * nth + (1 - mpmath.mpf(xi)) * g_s) / (gm + g_as - g_s)
+    return n_m
+
+
+def _mp_stationary(fn, x0):
+    """Stationary point of fn near x0, in 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.findroot(lambda x: mpmath.diff(fn, x), mpmath.mpf(x0), verify=False)
+
+
+def _rel(a, b):
+    return float(abs(a - b) / abs(b))
+
+
+# ----------------------------------------------------------------------
+
+def _sample_points(defaults, seed, count=8):
+    """(p, delta, n_in, n_c) on the lower branch: seeded systems, drives
+    1e-4 .. 1 of bifurcation, detunings on the red side."""
+    rng = np.random.default_rng(seed)
+    for g0_hz in (1.7e3, 35e3):
+        for linear in (False, True):
+            for _ in range(count):
+                p = _system(defaults, rng.uniform(0.02, 2.0), linear, g0_hz)
+                n_in = steady.bifurcation(p).n_in_bi * 10.0 ** rng.uniform(-4.0, 0.0)
+                delta = -rng.uniform(0.01, 3.0) * p.kappa
+                yield p, delta, n_in, steady.lower_root(p, delta, n_in)
+
+
+class TestRateSlopes:
+    def test_against_complex_step(self, defaults):
+        h = 1e-30
+        for p, delta, n_in, n_c in _sample_points(defaults, seed=31):
+            dn_ddelta, dn_dflux = steady.root_slopes(p, delta, n_c)
+            for d_delta, d_n in ((1.0, dn_ddelta), (0.0, dn_dflux), (1.0, 0.0), (0.0, 1.0)):
+                got = cavity.rate_slopes(p, delta, n_c, d_delta, d_n)
+                ref = cavity.rates(p, delta + 1j * h * d_delta, n_c + 1j * h * d_n)
+                for rate, slope, step in zip(cavity.rates(p, delta, n_c), got, ref):
+                    # the size of the derivative when nothing cancels
+                    scale = abs(rate) * (abs(d_delta) / abs(delta) + abs(d_n) / n_c)
+                    assert slope == pytest.approx(step.imag / h, rel=1e-10,
+                                                  abs=1e-10 * scale)
+
+    def test_arrays_match_floats(self, defaults, crit_drive):
+        deltas = np.linspace(-3.0, -0.05, 7) * defaults.kappa
+        n_c = steady.lower_branch_array(defaults, deltas, crit_drive)
+        dn, _ = steady.root_slopes(defaults, deltas, n_c)
+        vec = cavity.rate_slopes(defaults, deltas, n_c, 1.0, dn)
+        for i, d in enumerate(deltas):
+            dn_i, _ = steady.root_slopes(defaults, float(d), float(n_c[i]))
+            scalar = cavity.rate_slopes(defaults, float(d), float(n_c[i]), 1.0, dn_i)
+            assert [vec[0][i], vec[1][i]] == list(scalar)
+
+
+class TestRootSlopes:
+    def test_against_mpmath_implicit_derivative(self, defaults):
+        for p, delta, n_in, n_c in _sample_points(defaults, seed=32):
+            with mpmath.workdps(50):
+                k_eff, ka = mpmath.mpf(kc.effective_kerr(p)), mpmath.mpf(p.kappa)
+                d, flux = mpmath.mpf(delta), mpmath.mpf(n_in)
+                n = _mp_lower_root(p, d, flux, n_c)
+
+                def cubic(n_, d_, f_):
+                    return n_ * ((d_ + k_eff * n_) ** 2 + ka * ka / 4) - ka * f_
+                df_dn = mpmath.diff(lambda x: cubic(x, d, flux), n)
+                ref_delta = -mpmath.diff(lambda x: cubic(n, x, flux), d) / df_dn
+                ref_flux = -mpmath.diff(lambda x: cubic(n, d, x), flux) / df_dn
+            got_delta, got_flux = steady.root_slopes(p, delta, n_c)
+            assert _rel(got_delta, ref_delta) <= 1e-12
+            assert _rel(got_flux, ref_flux) <= 1e-12
+
+    def test_occupation_slopes_against_mpmath(self, defaults):
+        for p, delta, n_in, n_c in _sample_points(defaults, seed=33, count=3):
+            if not math.isfinite(sweeps._occupation_scalar(p, delta, n_in)):
+                continue
+            for xi in PURITIES:
+                with mpmath.workdps(50):
+                    n_m = _mp_occupation(p, xi, n_c)
+                    d, flux = mpmath.mpf(delta), mpmath.mpf(n_in)
+                    ref_delta = mpmath.diff(lambda x: n_m(x, flux), d)
+                    ref_flux = mpmath.diff(lambda x: n_m(d, x), flux)
+                got_delta = sweeps._occupation_slope(p, delta, n_in, xi)
+                got_flux = sweeps._occupation_slope(p, delta, n_in, xi, along_flux=True)
+                assert _rel(got_delta, ref_delta) <= 1e-11
+                assert _rel(got_flux, ref_flux) <= 1e-11
+
+    def test_infeasible_slope_is_nan(self, defaults, crit_drive):
+        # blue of resonance the optical anti-damping beats gamma_m
+        assert math.isnan(sweeps._occupation_slope(defaults, 0.5 * defaults.kappa, crit_drive))
+
+
+class TestSlopeRootOptima:
+    def test_argmin_is_mpmath_stationary_point(self, defaults):
+        for p, n_in, xi in _cases(defaults):
+            delta, value = sweeps.optimal_detuning(p, n_in, xi)
+            n_m = _mp_occupation(p, xi, steady.lower_root(p, delta, n_in))
+            ref = _mp_stationary(lambda d: n_m(d, n_in), delta)
+            assert _rel(delta, ref) <= 1e-12
+            assert value == sweeps._occupation_scalar(p, delta, n_in, xi)
+
+    @pytest.mark.parametrize("omega_frac,linear,xi", [
+        (0.1, False, 0.0), (0.2, False, 0.9), (0.2, True, 0.0), (1.0, True, 0.9)])
+    def test_argmin_independent_of_grid(self, defaults, omega_frac, linear, xi):
+        p = _system(defaults, omega_frac, linear)
+        n_in = sweeps.equal_drive(p, CRITICAL_POWER_FRACTION)
+        found = [sweeps.optimal_detuning(p, n_in, xi, grid_points=m)
+                 for m in (101, 401, 2001, 4001)]
+        for delta, value in found[:-1]:
+            assert _rel(delta, found[-1][0]) <= 1e-14
+            assert _rel(value, found[-1][1]) <= 1e-14
+
+    def test_max_damping_is_mpmath_stationary_point(self, defaults, crit_drive):
+        delta, c_eff = sweeps.max_damping_point(defaults, crit_drive)
+        start = steady.lower_root(defaults, delta, crit_drive)
+
+        def gamma_opt(d):
+            g_s, g_as = _mp_rates(defaults, d, _mp_lower_root(defaults, d, crit_drive, start))
+            return g_as - g_s
+        assert _rel(delta, _mp_stationary(gamma_opt, delta)) <= 1e-12
+        assert c_eff == sweeps._cooperativity_scalar(defaults, delta, crit_drive)
+
+    def test_edge_minimum_keeps_grid_point(self, defaults, crit_drive):
+        # a window that stops short of the optimum: n_m falls toward its
+        # right edge, where the slope never changes sign
+        bi = steady.bifurcation(defaults)
+        window = (3.0 * bi.delta_bi, 2.0 * bi.delta_bi)
+        delta, value = sweeps.optimal_detuning(defaults, crit_drive, window=window,
+                                               grid_points=101)
+        assert delta == window[1]
+        assert value == sweeps._occupation_scalar(defaults, delta, crit_drive)
+
+    def test_flux_step_lands_on_the_cap(self, defaults):
+        # at the cap dn_m/dn_in < 0: the flux bracket has no sign change
+        _, n_in, _, converged = sweeps.optimize_operating_point(defaults)
+        assert converged
+        assert n_in == CRITICAL_POWER_FRACTION * steady.bifurcation(defaults).n_in_bi
+
+
+class TestOnePhononBoundary:
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_against_bisection(self, defaults, mode):
+        g0, bracket = TAU * 15e3, (0.05, 0.35)
+        onset = sweeps.ground_state_onset_omega(defaults, g0, mode, bracket=bracket)
+        pb = defaults.replace(g0=g0)
+
+        def above_one(frac):
+            pv = sweeps.sideband_variant(pb, frac)
+            n_in = sweeps.equal_drive(pv, CRITICAL_POWER_FRACTION)
+            target = pv.without_kerr() if mode is sweeps.Mode.LINEAR_COMPARISON else pv
+            return sweeps.optimal_detuning(
+                target, n_in, grid_points=sweeps.PROFILE_POINTS // 2)[1] > 1.0
+
+        lo, hi = bracket
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if above_one(mid) else (lo, mid)
+        assert onset == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)

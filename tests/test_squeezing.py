@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kerrcool as kc
+from kerrcool.errors import ConfigError
 from kerrcool.squeezing import (SqueezeSpec, db_from_factor, factor_from_db,
                                 n_s_from_factor, sideband_asymmetry,
                                 squeezed_rates, squeezing_factor)
@@ -56,10 +57,18 @@ class TestCorrelators:
         assert math.sinh(sq.r) ** 2 == pytest.approx(0.9 * sq.n_s, rel=1e-12)
 
     def test_purity_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SqueezeSpec.from_n_s(1.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SqueezeSpec.from_n_s(-0.1, 1.0)
+
+    def test_negative_n_s_and_zero_purity_are_config_errors(self):
+        # checked before any square root is taken
+        for n_s in (-1.0, -0.5, math.nan):
+            with pytest.raises(ConfigError, match="n_s must be >= 0"):
+                SqueezeSpec.from_n_s(0.5, n_s)
+        with pytest.raises(ConfigError, match="purity xi must be positive"):
+            SqueezeSpec.from_db(0.0, 3.0)
 
 
 class TestForceSpectrum:

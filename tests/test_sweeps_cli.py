@@ -267,6 +267,20 @@ class TestCli:
             assert run_cli(["sweep", str(spec)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {key}") and "Traceback" not in err
+        # squeezed drives with no valid N_s
+        for extra, key in ((["--xi", "0.5", "--n-s", "-1"], "n_s must be >= 0"),
+                           (["--xi", "0", "--squeeze-db", "3"], "purity xi must be positive")):
+            assert run_cli(["spectrum", "--kind", "ff", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"config error: {key}")
+        # a cavity without any Kerr has no bifurcation to default to
+        linear = tmp_path / "linear.cfg"
+        linear.write_text("f_m = 300e3\ngamma_m = 100\nkappa = 3e6\nkerr = 0\n"
+                          "g0 = 0\nn_th = 2778\n")
+        assert run_cli(["steady", "--config", str(linear), "--n-in", "1e6",
+                        "--detuning-hz", "-1e6"]) == 2
+        assert capsys.readouterr().err.startswith("config error: a strictly linear cavity")
 
     def test_numerical_failure_exit_code(self, capsys):
         # on the heated flank (Delta_eff < 0) the optical anti-damping
@@ -331,6 +345,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["region"] == "split_decays"
         assert payload["ep_delta_plus_rad_s"] < payload["ep_delta_minus_rad_s"] < 0
+
+    def test_poles_without_kerr_reports_no_exceptional_points(self, tmp_path, capsys):
+        cfg = tmp_path / "no_kerr.cfg"
+        cfg.write_text("f_m = 300e3\ngamma_m = 100\nkappa = 3e6\nkerr = 0\n"
+                       "g0 = 1700\nn_th = 2778\n")
+        assert run_cli(["poles", "--config", str(cfg), "--n-in", "1e6",
+                        "--detuning-hz", "-1e6", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ep_delta_minus_rad_s"] is None
+        assert payload["ep_delta_plus_rad_s"] is None
 
     def test_squeeze_command(self, capsys):
         assert run_cli(["squeeze", "--xi", "0.9", "--format", "json"]) == 0
