@@ -127,16 +127,13 @@ def photon_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
 DECAY_EXTREMUM_TOL = 1e-2
 
 
-def cavity_poles(ss: SteadyState, p: SystemParams,
-                 ep_tol: float | None = None) -> PoleStructure:
+def cavity_poles(ss: SteadyState, p: SystemParams) -> PoleStructure:
     """Poles Omega_+- = -i kappa/2 +- sqrt((Delta+3|Lambda|)(Delta+|Lambda|))
     with region classification and the decay-extremum diagnostic."""
     radicand = (ss.detuning + 3.0 * ss.lambda_abs) * (ss.detuning + ss.lambda_abs)
-    if ep_tol is None:
-        ep_tol = 1e-12 * max(p.kappa ** 2, ss.detuning ** 2)
     root = np.sqrt(complex(radicand))
     poles = (-0.5j * p.kappa + root, -0.5j * p.kappa - root)
-    if abs(radicand) <= ep_tol:
+    if abs(radicand) <= 1e-12 * max(p.kappa ** 2, ss.detuning ** 2):
         region = PoleRegion.EXCEPTIONAL_POINT
     elif radicand > 0:
         region = PoleRegion.SPLIT_FREQUENCIES
@@ -157,17 +154,23 @@ def cavity_poles(ss: SteadyState, p: SystemParams,
     )
 
 
-def exceptional_points(p: SystemParams, n_in: float,
-                       bracket=(None, None), probes: int = 2048):
+#: Detuning samples scanned for the sign changes that bracket each
+#: exceptional point.
+EP_PROBES = 2048
+
+
+def exceptional_points(p: SystemParams, n_in: float, bracket=(None, None)):
     """Self-consistent detunings where the spectrum poles coalesce.
 
     Solves Delta = -(2 +- 1) K n_c(Delta) along the lower branch by scanning
-    `probes` points for sign changes and bisecting each.  Returns
-    (delta_minus, delta_plus) with delta_minus the -|Lambda| crossing
-    (closer to resonance) and delta_plus the -3|Lambda| one; either entry is
-    None when no sign change exists at this drive, and both are None
-    without intrinsic Kerr or without drive.
+    `EP_PROBES` points for sign changes and taking a Brent root in each.
+    Returns (delta_minus, delta_plus) with delta_minus the -|Lambda|
+    crossing (closer to resonance) and delta_plus the -3|Lambda| one; either
+    entry is None when no sign change exists at this drive, and both are
+    None without intrinsic Kerr or without drive.
     """
+    from .sweeps import _bracketed_root
+
     if n_in < 0:
         raise ValueError(f"exceptional points need a drive n_in >= 0, got {n_in!r}")
     if p.kerr == 0.0 or n_in == 0.0:
@@ -175,13 +178,8 @@ def exceptional_points(p: SystemParams, n_in: float,
         return None, None
     lo = bracket[0] if bracket[0] is not None else -10.0 * p.kappa
     hi = bracket[1] if bracket[1] is not None else -1e-6 * p.kappa
-    deltas = np.linspace(lo, hi, probes)
+    deltas = np.linspace(lo, hi, EP_PROBES)
     n_c = lower_branch_array(p, deltas, n_in)
-
-    def residual_fn(mult):
-        def h(delta):
-            return delta + mult * p.kerr * lower_root(p, delta, n_in)
-        return h
 
     out = []
     for mult in (1.0, 3.0):
@@ -191,22 +189,18 @@ def exceptional_points(p: SystemParams, n_in: float,
             out.append(None)
             continue
         i = sign_change[-1]  # crossing nearest resonance
-        a, b = deltas[i], deltas[i + 1]
-        h = residual_fn(mult)
-        fa = h(a)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = h(mid)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if abs(b - a) <= 1e-9 * p.kappa:
-                break
-        delta = 0.5 * (a + b)
-        if abs(h(delta)) > 1e-6 * p.kappa:
+        a, b = float(deltas[i]), float(deltas[i + 1])
+
+        def h(delta):
+            return delta + mult * p.kerr * lower_root(p, delta, n_in)
+
+        delta = _bracketed_root(h, a, b, h(a), h(b))
+        # a jump of the lower branch inside the bracket changes the sign
+        # of h without a root
+        residual = math.inf if delta is None else h(delta)
+        if abs(residual) > 1e-6 * p.kappa:
             raise ConvergenceError(
-                f"exceptional-point residual {h(delta):.3e} above 1e-6*kappa"
+                f"exceptional-point residual {residual:.3e} above 1e-6*kappa"
             )
         out.append(delta)
     return out[0], out[1]

@@ -42,9 +42,7 @@ def _drive(p: SystemParams, args) -> float:
     if getattr(args, "n_in", None) is not None:
         return args.n_in
     frac = getattr(args, "n_in_frac", None)
-    if frac is None:
-        frac = CRITICAL_POWER_FRACTION
-    return frac * steady.bifurcation(p).n_in_bi
+    return steady.critical_power(p, CRITICAL_POWER_FRACTION if frac is None else frac)
 
 
 def _detuning(p: SystemParams, args) -> float:

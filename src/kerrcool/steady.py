@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPolicyError, InvariantError, LinearCavityError
-from .params import BranchPolicy, OperatingPoint, SystemParams
+from .params import (BranchPolicy, CRITICAL_POWER_FRACTION, OperatingPoint,
+                     SystemParams)
 
 #: Imaginary dust tolerance for accepting a closed-form root as real.
 REAL_ROOT_IMAG_TOL = 1e-9
@@ -273,10 +274,9 @@ def root_slopes(p: SystemParams, delta, n_c):
 def photon_branches(p: SystemParams, delta: float, n_in: float):
     """All real non-negative photon-number roots at (delta, n_in), sorted
     ascending, each tagged with its classical stability."""
+    OperatingPoint(delta, n_in)   # ConfigError for a negative or non-finite drive
     if n_in == 0.0:
         return [(0.0, True)]
-    if n_in < 0.0:
-        raise ValueError(f"n_in must be >= 0, got {n_in!r}")
     k_eff = effective_kerr(p)
     if k_eff == 0.0:
         return [(p.kappa * n_in / (delta * delta + p.kappa * p.kappa / 4.0), True)]
@@ -372,7 +372,7 @@ def bifurcation(p: SystemParams) -> BifurcationData:
     )
 
 
-def critical_power(p: SystemParams, fraction: float = 0.9999999) -> float:
+def critical_power(p: SystemParams, fraction: float = CRITICAL_POWER_FRACTION) -> float:
     """Input flux a fixed fraction below the bifurcation drive."""
     return fraction * bifurcation(p).n_in_bi
 

@@ -232,47 +232,35 @@ def max_damping_point(p: SystemParams, n_in: float,
 def optimize_operating_point(p: SystemParams,
                              power_cap: float = CRITICAL_POWER_FRACTION,
                              xi: float = 0.0,
-                             n_in_bi: float | None = None,
-                             value_rtol: float = 1e-4,
-                             max_rounds: int = 4):
+                             n_in_bi: float | None = None):
     """Minimize the rate-form occupation over (detuning, input flux).
 
-    Coarse stage: a 64-point log grid over n_in in [1e-3, cap] * n_in_bi
-    crossed with the standard detuning grid.  Refinement alternates
-    between the two axes until the occupation improves by less than
-    value_rtol relative: `optimal_detuning`, then the least of n_m at the
-    ends of the flux bracket [n_in/3, 3 n_in] (capped) and at a root of
-    dn_m/dn_in inside it.  Returns (delta, n_in, CoolingReport, converged).
+    The detuning search one level up: `_grid_slope_min` on the envelope
+    F(n_in) = min over Delta of n_m (`optimal_detuning`), sampled on a
+    64-point log grid over n_in in [1e-3, cap] * n_in_bi.  By the envelope
+    theorem F' is dn_m/dn_in at the optimal detuning.  At the cap F' < 0
+    leaves no sign change, so the cap stands (a KKT point); an interior
+    optimum is a root of F'.  Returns (delta, n_in, CoolingReport).
     """
     if not 0.0 < power_cap <= 1.0:
         raise ConfigError(f"power_cap must be in (0, 1], got {power_cap}")
     if n_in_bi is None:
         n_in_bi = steady.bifurcation(p).n_in_bi
-    fractions = np.geomspace(1e-3, power_cap, POWER_GRID_POINTS)
-    best = (math.inf, math.nan, math.nan)
-    for f in fractions:
-        d, v = optimal_detuning(p, f * n_in_bi, xi)
-        if v < best[0]:
-            best = (v, d, f * n_in_bi)
-    value, delta, n_in = best
-    converged = False
-    for _ in range(max_rounds):
-        prev = value
-        delta, value = optimal_detuning(p, n_in, xi)
-        lo = max(n_in / 3.0, 1e-3 * n_in_bi)
-        hi = min(n_in * 3.0, power_cap * n_in_bi)
+    optima = {}   # flux -> (delta, n_m), the grid scan's and Brent's
 
-        def slope(flux):
-            return _occupation_slope(p, delta, flux, xi, along_flux=True)
+    def envelope(flux):
+        if flux not in optima:
+            optima[flux] = optimal_detuning(p, flux, xi)
+        return optima[flux]
 
-        root = _bracketed_root(slope, lo, hi, slope(lo), slope(hi))
-        value, n_in = min((_occupation_scalar(p, delta, flux, xi), flux)
-                          for flux in (lo, hi, root) if flux is not None)
-        if abs(prev - value) <= value_rtol * abs(value):
-            converged = True
-            break
+    fluxes = np.geomspace(1e-3, power_cap, POWER_GRID_POINTS) * n_in_bi
+    n_in, _ = _grid_slope_min(
+        np.array([envelope(float(f))[1] for f in fluxes]), fluxes,
+        lambda f: envelope(f)[1],
+        lambda f: _occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
+    delta = envelope(n_in)[0]
     ss = steady.steady_at(p, delta, n_in)
-    return delta, n_in, cooling.occupation(ss, p), converged
+    return delta, n_in, cooling.occupation(ss, p)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +277,7 @@ def sideband_variant(p: SystemParams, omega_frac: float) -> SystemParams:
 def equal_drive(p: SystemParams, cap_fraction: float) -> float:
     """The shared drive of equal-power comparisons: cap_fraction times the
     bifurcation flux of the full nonlinear system."""
-    return cap_fraction * steady.bifurcation(p).n_in_bi
+    return steady.critical_power(p, cap_fraction)
 
 
 def _min_occupation_row(p: SystemParams, n_in: float, xi: float) -> dict:
@@ -377,12 +365,11 @@ def _coupling_row(p: SystemParams, g0: float, cap_fraction: float) -> dict:
             "delta_maxdamp_rad_s": d_damp, "c_eff_max": c_max,
             "n_m_maxdamp": rep.n_rate, "backaction_share_maxdamp": rep.backaction_share,
         })
-        d_opt, n_in_opt, rep_opt, converged = optimize_operating_point(
-            pg, power_cap=cap_fraction)
+        d_opt, n_in_opt, rep_opt = optimize_operating_point(pg, power_cap=cap_fraction)
         row.update({
             "delta_opt_rad_s": d_opt, "n_in_opt_per_s": n_in_opt,
             "n_in_opt_fraction": n_in_opt / bi.n_in_bi,
-            "n_m_opt": rep_opt.n_rate, "converged": converged,
+            "n_m_opt": rep_opt.n_rate, "converged": True,
         })
         # linear cavity at the same (optimal) drive
         pl = pg.without_kerr()
@@ -427,13 +414,13 @@ def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
             # power optimized below the mechanical-Kerr bifurcation
             pl = pv.without_kerr()
             bi_lin = steady.bifurcation(pl)
-            delta, n_in, rep, converged = optimize_operating_point(
+            delta, n_in, rep = optimize_operating_point(
                 pl, power_cap=cap_fraction, n_in_bi=bi_lin.n_in_bi)
             row.update({
                 "n_in_per_s": n_in,
                 "n_in_over_own_bi": n_in / bi_lin.n_in_bi,
                 "n_in_over_nl_bi": n_in / bi_nl.n_in_bi,
-                "delta_rad_s": delta, "n_m": rep.n_rate, "converged": converged,
+                "delta_rad_s": delta, "n_m": rep.n_rate, "converged": True,
             })
         else:
             n_in = cap_fraction * bi_nl.n_in_bi

@@ -134,7 +134,7 @@ class TestExceptionalPoints:
         ep_minus, ep_plus = kc.exceptional_points(defaults, crit_drive)
         for delta, mult in ((ep_minus, 1.0), (ep_plus, 3.0)):
             n_c = kc.photon_branches(defaults, delta, crit_drive)[0][0]
-            assert abs(delta + mult * defaults.kerr * n_c) < 1e-6 * defaults.kappa
+            assert abs(delta + mult * defaults.kerr * n_c) < 1e-12 * defaults.kappa
 
     def test_small_kerr_eps_collapse_to_resonance(self, defaults, crit_drive):
         p = defaults.replace(kerr=TAU * 10.0, g0=0.0)

@@ -203,9 +203,35 @@ class TestSlopeRootOptima:
 
     def test_flux_step_lands_on_the_cap(self, defaults):
         # at the cap dn_m/dn_in < 0: the flux bracket has no sign change
-        _, n_in, _, converged = sweeps.optimize_operating_point(defaults)
-        assert converged
+        _, n_in, _ = sweeps.optimize_operating_point(defaults)
         assert n_in == CRITICAL_POWER_FRACTION * steady.bifurcation(defaults).n_in_bi
+
+    @pytest.mark.parametrize("case", ("defaults", "cap 0.7", "xi 0.9",
+                                      "linear 15 kHz", "n_th 0"))
+    def test_flux_optimum_is_kkt_point(self, defaults, case):
+        # F(n_in) = min over Delta of n_m has the envelope slope dn_m/dn_in
+        # at the optimal detuning: it points out of the flux window at a
+        # bound optimum and vanishes at an interior one
+        p, cap, xi, n_in_bi = defaults, CRITICAL_POWER_FRACTION, 0.0, None
+        if case == "cap 0.7":
+            cap = 0.7
+        elif case == "xi 0.9":
+            xi = 0.9
+        elif case == "linear 15 kHz":
+            p = defaults.replace(g0=TAU * 15e3).without_kerr()
+            n_in_bi = steady.bifurcation(p).n_in_bi
+        elif case == "n_th 0":
+            p = sweeps.sideband_variant(defaults.replace(g0=TAU * 15e3), 0.1).replace(n_th=0.0)
+        delta, n_in, _ = sweeps.optimize_operating_point(p, cap, xi, n_in_bi)
+        n_in_bi = n_in_bi or steady.bifurcation(p).n_in_bi
+        slope = sweeps._occupation_slope(p, delta, n_in, xi, along_flux=True)
+        if n_in == cap * n_in_bi:
+            assert slope < 0.0
+        elif n_in == 1e-3 * n_in_bi:
+            assert slope > 0.0
+        else:
+            n_m = sweeps._occupation_scalar(p, delta, n_in, xi)
+            assert abs(slope) * n_in / n_m <= 1e-8
 
 
 class TestOnePhononBoundary:

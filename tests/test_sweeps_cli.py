@@ -58,13 +58,12 @@ class TestDetuningProfile:
 
 class TestOptimizers:
     def test_defaults_optimum(self, defaults, crit_drive):
-        delta, n_in, rep, converged = optimize_operating_point(defaults)
-        assert converged
+        delta, n_in, rep = optimize_operating_point(defaults)
         assert rep.n_rate == pytest.approx(12.657, rel=1e-3)
         assert n_in == pytest.approx(crit_drive, rel=1e-6)
 
     def test_optimum_is_local_minimum(self, defaults):
-        delta, n_in, rep, _ = optimize_operating_point(defaults)
+        delta, n_in, rep = optimize_operating_point(defaults)
         base = rep.n_rate
         for eps in (-0.01, 0.01):
             perturbed = kc.steady_at(defaults, delta * (1 + eps), n_in)
@@ -75,7 +74,7 @@ class TestOptimizers:
 
     def test_power_cap_respected(self, defaults):
         cap = 0.7
-        _, n_in, _, _ = optimize_operating_point(defaults, power_cap=cap)
+        _, n_in, _ = optimize_operating_point(defaults, power_cap=cap)
         assert n_in <= cap * kc.bifurcation(defaults).n_in_bi * (1 + 1e-12)
 
     def test_max_damping_matches_reference(self, defaults, crit_drive):
@@ -87,7 +86,7 @@ class TestOptimizers:
         # mechanical-Kerr bifurcation
         p = defaults.replace(g0=TAU * 15e3).without_kerr()
         bi = kc.bifurcation(p)
-        delta, n_in, rep, _ = optimize_operating_point(p, n_in_bi=bi.n_in_bi)
+        delta, n_in, rep = optimize_operating_point(p, n_in_bi=bi.n_in_bi)
         assert 0.9 <= n_in / bi.n_in_bi <= 1.0
 
     def test_power_ratio_follows_kerr_ratio(self, defaults):
@@ -257,6 +256,11 @@ class TestCli:
         bad.write_text("f_m = 0.3e6\n")  # missing keys
         assert run_cli(["steady", "--config", str(bad)]) == 2
         capsys.readouterr()
+        # a negative drive, given as a flux or as a fraction of bifurcation
+        for drive in (["--n-in", "-1"], ["--n-in-frac", "-1"]):
+            assert run_cli(["steady", *drive]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: n_in must be >= 0") and "Traceback" not in err
         # malformed numbers in a sweep spec
         spec = tmp_path / "bad.spec"
         for text, key in (("omega_frac = a, 0.2, 2\n", "axis start"),
