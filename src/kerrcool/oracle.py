@@ -84,10 +84,14 @@ def transfer(dm: DynamicalMatrix, omega) -> np.ndarray:
     """Response matrix T(w) = (M + i w I)^(-1) K mapping input noise
     amplitudes to mode amplitudes, batched over a frequency array."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    return _solve_response(dm, omega, dm.k.astype(complex))
+
+
+def _solve_response(dm: DynamicalMatrix, omega: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(M + i w I)^(-1) K for each w in `omega`, with K given complex."""
     lhs = dm.m[None, :, :] + 1j * omega[:, None, None] * _IDENT[None, :, :]
     try:
-        return np.linalg.solve(lhs, np.broadcast_to(dm.k.astype(complex),
-                                                    lhs.shape).copy())
+        return np.linalg.solve(lhs, k)
     except np.linalg.LinAlgError as exc:
         raise InstabilityError(f"singular response at some frequency: {exc}") from exc
 
@@ -144,9 +148,12 @@ def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray,
     width = p.gamma_m + abs(scattering_rates(ss, p).gamma_opt)
     center = p.omega_m - complex(cavity_self_energy(ss, p, p.omega_m)).real
 
+    # +w and -w solved as one stack, on a complex K built once
+    k = dm.k.astype(complex)
+    signs = np.array([1.0, -1.0])
+
     def f(w):
-        t_pos = transfer(dm, w)[0]
-        t_neg = transfer(dm, -w)[0]
+        t_pos, t_neg = _solve_response(dm, signs * w, k)
         val = np.einsum("i,j,ij->", t_neg[3, :], t_pos[2, :], correlators)
         return float(val.real)
 
@@ -162,6 +169,7 @@ def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray,
     tail = np.geomspace(edge, 20.0 * p.kappa + edge, 200)
     for sgn in (1.0, -1.0):
         g = np.sort(sgn * tail)
-        vals = np.array([f(w) for w in g])
+        t_pos, t_neg = np.split(transfer(dm, np.concatenate([g, -g])), 2)
+        vals = _contract(t_neg[:, 3, :], t_pos[:, 2, :], correlators).real
         total += np.trapezoid(vals, g)
     return total / (2.0 * math.pi), err / (2.0 * math.pi)

@@ -237,16 +237,20 @@ def optimize_operating_point(p: SystemParams,
 
     The detuning search one level up: `_grid_slope_min` on the envelope
     F(n_in) = min over Delta of n_m (`optimal_detuning`), sampled on a
-    64-point log grid over n_in in [1e-3, cap] * n_in_bi.  By the envelope
-    theorem F' is dn_m/dn_in at the optimal detuning.  At the cap F' < 0
-    leaves no sign change, so the cap stands (a KKT point); an interior
-    optimum is a root of F'.  Returns (delta, n_in, CoolingReport).
+    64-point log grid over n_in in [1e-3, cap] * n_in_bi.  A coarse
+    envelope, the least n_m on a `PROFILE_POINTS // 8`-point detuning grid,
+    picks the flux cell; F itself is evaluated only in that cell and its
+    neighbours.  By the envelope theorem F' is dn_m/dn_in at the optimal
+    detuning.  At the cap F' < 0 leaves no sign change, so the cap stands
+    (a KKT point); an interior optimum is a root of F'.  Returns
+    (delta, n_in, CoolingReport), the report under the matched squeezing
+    of purity xi that was minimized (`squeezing.matched_report`).
     """
     if not 0.0 < power_cap <= 1.0:
         raise ConfigError(f"power_cap must be in (0, 1], got {power_cap}")
     if n_in_bi is None:
         n_in_bi = steady.bifurcation(p).n_in_bi
-    optima = {}   # flux -> (delta, n_m), the grid scan's and Brent's
+    optima = {}   # flux -> (delta, n_m), the exact envelope and Brent's
 
     def envelope(flux):
         if flux not in optima:
@@ -254,13 +258,17 @@ def optimize_operating_point(p: SystemParams,
         return optima[flux]
 
     fluxes = np.geomspace(1e-3, power_cap, POWER_GRID_POINTS) * n_in_bi
+    coarse = np.linspace(*detuning_window(p), PROFILE_POINTS // 8)
+    cell = int(np.argmin([np.min(_occupation_profile(p, coarse, f, xi)[0])
+                          for f in fluxes]))
+    vals = np.full(len(fluxes), np.inf)
+    for j in range(max(0, cell - 1), min(len(fluxes), cell + 2)):
+        vals[j] = envelope(float(fluxes[j]))[1]
     n_in, _ = _grid_slope_min(
-        np.array([envelope(float(f))[1] for f in fluxes]), fluxes,
-        lambda f: envelope(f)[1],
+        vals, fluxes, lambda f: envelope(f)[1],
         lambda f: _occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
     delta = envelope(n_in)[0]
-    ss = steady.steady_at(p, delta, n_in)
-    return delta, n_in, cooling.occupation(ss, p)
+    return delta, n_in, squeezing.matched_report(steady.steady_at(p, delta, n_in), p, xi)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kerrcool as kc
+from kerrcool import oracle
 from kerrcool.squeezing import SqueezeSpec
 from kerrcool.steady import state_for_root
 
@@ -84,6 +85,23 @@ class TestBuildMatrix:
         dm = kc.build_matrix(crit_state, defaults)
         assert np.diag(dm.k) == pytest.approx(
             [math.sqrt(defaults.kappa)] * 2 + [math.sqrt(defaults.gamma_m)] * 2)
+
+    def test_stacked_solves_equal_single_frequencies(self, defaults, optimal_state):
+        # the occupation integrand solves +w and -w as one stack and each
+        # tail as one batch; a stack must give every frequency's response
+        # and contraction bit for bit
+        dm = kc.build_matrix(optimal_state, defaults)
+        corr = kc.input_correlators(defaults)
+        grid = np.geomspace(1e3, 20.0 * defaults.kappa, 50)
+        grid = np.concatenate([grid, -grid])
+        stacked = oracle.transfer(dm, grid)
+        rows = stacked[:50], stacked[50:]
+        for n, w in enumerate(grid):
+            assert np.array_equal(stacked[n], oracle.transfer(dm, w)[0])
+        for n in range(50):
+            single = np.einsum("i,j,ij->", rows[1][n, 3, :], rows[0][n, 2, :], corr)
+            batched = oracle._contract(rows[1][:, 3, :], rows[0][:, 2, :], corr)[n]
+            assert single == batched
 
     def test_eigenvalues_match_spectrum_poles_at_zero_coupling(self, defaults, crit_drive):
         p = defaults.replace(g0=0.0)

@@ -234,6 +234,52 @@ class TestSlopeRootOptima:
             assert abs(slope) * n_in / n_m <= 1e-8
 
 
+def _exhaustive_flux_optimum(p, cap, xi, n_in_bi):
+    """The flux search with the exact envelope at all 64 fluxes: 64 full
+    `optimal_detuning` calls fed to `_grid_slope_min`."""
+    fluxes = np.geomspace(1e-3, cap, sweeps.POWER_GRID_POINTS) * n_in_bi
+    optima = {}
+
+    def envelope(flux):
+        if flux not in optima:
+            optima[flux] = sweeps.optimal_detuning(p, flux, xi)
+        return optima[flux]
+
+    n_in, _ = sweeps._grid_slope_min(
+        np.array([envelope(float(f))[1] for f in fluxes]), fluxes,
+        lambda f: envelope(f)[1],
+        lambda f: sweeps._occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
+    return envelope(n_in)[0], n_in
+
+
+#: Seeded systems of the two-level flux search: couplings 1.7-35 kHz and
+#: omega_m/kappa 0.02-0.5 (log-spaced, endpoints included, shuffled),
+#: cycling through both caps, both purities and both modes.
+_FLUX_SYSTEMS = 32
+_rng = np.random.default_rng(2024)
+_FLUX_G0_HZ = _rng.permutation(np.geomspace(1.7e3, 35e3, _FLUX_SYSTEMS))
+_FLUX_OMEGA_FRACS = _rng.permutation(np.geomspace(0.02, 0.5, _FLUX_SYSTEMS))
+
+
+class TestTwoLevelFluxSearch:
+    @pytest.mark.parametrize("i", range(_FLUX_SYSTEMS + 1))
+    def test_equals_exhaustive_scan(self, defaults, i):
+        # the coarse envelope only picks the flux cell; where it picks the
+        # exhaustive scan's cell the exact values, bracket and slopes are
+        # the same, so the result is too, bit for bit
+        if i == _FLUX_SYSTEMS:
+            # n_th = 0: an edge optimum at the lowest flux of the grid
+            p = sweeps.sideband_variant(defaults.replace(g0=TAU * 15e3), 0.1).replace(n_th=0.0)
+            cap, xi = CRITICAL_POWER_FRACTION, 0.0
+        else:
+            p = _system(defaults, _FLUX_OMEGA_FRACS[i], bool(i // 4 % 2), _FLUX_G0_HZ[i])
+            cap = (0.7, CRITICAL_POWER_FRACTION)[i % 2]
+            xi = PURITIES[i // 2 % 2]
+        n_in_bi = steady.bifurcation(p).n_in_bi
+        delta, n_in, _ = sweeps.optimize_operating_point(p, cap, xi, n_in_bi)
+        assert (delta, n_in) == _exhaustive_flux_optimum(p, cap, xi, n_in_bi)
+
+
 class TestOnePhononBoundary:
     @pytest.mark.parametrize("mode", list(sweeps.Mode))
     def test_against_bisection(self, defaults, mode):

@@ -72,6 +72,24 @@ class TestOptimizers:
             perturbed = kc.steady_at(defaults, delta, bumped)
             assert kc.occupation(perturbed, defaults).n_rate >= base * (1 - 1e-4)
 
+    def test_squeezed_optimum_reports_minimized_occupation(self, defaults):
+        xi = 0.9
+        delta, n_in, rep = optimize_operating_point(defaults, xi=xi)
+        assert rep.n_rate == sweeps._occupation_scalar(defaults, delta, n_in, xi)
+        assert rep.n_rate == pytest.approx(10.705, rel=1e-4)
+        assert rep.n_closed == pytest.approx(rep.n_rate, rel=1e-10)
+        # the matched-squeezing rates of the spectrum route
+        ss = kc.steady_at(defaults, delta, n_in)
+        sq = kc.matched_squeeze(ss, defaults, xi)
+        g_s, g_as, g_opt = kc.squeezed_rates(ss, defaults, sq)
+        assert rep.rates.gamma_stokes == pytest.approx(g_s, rel=1e-10)
+        assert rep.rates.gamma_antistokes == pytest.approx(g_as, rel=1e-10)
+        assert rep.rates.gamma_opt == pytest.approx(g_opt, rel=1e-10)
+        vacuum = kc.occupation(ss, defaults)
+        assert rep.backaction_share == pytest.approx((1 - xi) * vacuum.backaction_share,
+                                                     rel=1e-14)
+        assert rep.thermal_share == vacuum.thermal_share
+
     def test_power_cap_respected(self, defaults):
         cap = 0.7
         _, n_in, _ = optimize_operating_point(defaults, power_cap=cap)
