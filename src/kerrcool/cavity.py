@@ -84,16 +84,24 @@ def driven_susceptibility(omega, ss: SteadyState, p: SystemParams):
 
 def spectrum_denominator(omega, ss: SteadyState, p: SystemParams):
     """Quartic denominator [Delta~^2 - w^2 + kappa^2/4 - |Lambda|^2]^2
-    + kappa^2 w^2 of the photon and the squeezed force spectra."""
+    + kappa^2 w^2 of the photon and the squeezed force spectra.  The state's
+    fields may be floats or arrays; their squares are products, so both
+    round alike."""
     omega = np.asarray(omega, dtype=float)
-    core = ss.delta_tilde ** 2 - omega ** 2 + p.kappa ** 2 / 4.0 - ss.lambda_abs ** 2
-    return core ** 2 + p.kappa ** 2 * omega ** 2
+    dt, lam, w2 = ss.delta_tilde, ss.lambda_abs, omega * omega
+    den = dt * dt - w2 + p.kappa ** 2 / 4.0 - lam * lam
+    # in place, to hold one grid-sized temporary fewer
+    den *= den
+    w2 *= p.kappa ** 2
+    den += w2
+    return den
 
 
 def is_parametrically_stable(ss: SteadyState, p: SystemParams) -> bool:
     """Both spectrum poles in the lower half plane:
     |Lambda|^2 <= Delta~^2 + kappa^2/4."""
-    return ss.lambda_abs ** 2 <= ss.delta_tilde ** 2 + p.kappa ** 2 / 4.0
+    dt, lam = ss.delta_tilde, ss.lambda_abs
+    return lam * lam <= dt * dt + p.kappa ** 2 / 4.0
 
 
 def photon_spectrum_values(omega, ss: SteadyState, p: SystemParams):
@@ -101,11 +109,19 @@ def photon_spectrum_values(omega, ss: SteadyState, p: SystemParams):
 
         n_c kappa ([-Delta~ + w + |Lambda|]^2 + kappa^2/4) /
         ([Delta~^2 - w^2 + kappa^2/4 - |Lambda|^2]^2 + kappa^2 w^2)
+
+    on floats or arrays of omega and of the state's fields.  Squares are
+    products: a 0-d operand would otherwise square through `pow`, which
+    rounds some squares differently from an array's product.
     """
     omega = np.asarray(omega, dtype=float)
-    num = ss.n_c * p.kappa * ((-ss.delta_tilde + omega + ss.lambda_abs) ** 2
-                              + p.kappa ** 2 / 4.0)
-    return num / spectrum_denominator(omega, ss, p)
+    num = -ss.delta_tilde + omega + ss.lambda_abs
+    # in place, to hold one grid-sized temporary fewer
+    num *= num
+    num += p.kappa ** 2 / 4.0
+    num *= ss.n_c * p.kappa
+    num /= spectrum_denominator(omega, ss, p)
+    return num
 
 
 def photon_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
@@ -127,13 +143,21 @@ def photon_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
 DECAY_EXTREMUM_TOL = 1e-2
 
 
+def _pole_radicand(p: SystemParams, delta, lam):
+    """(Delta + 3|Lambda|)(Delta + |Lambda|), the squared pole splitting, and
+    the mask of exceptional points, where it vanishes to 1e-12 of
+    max(kappa^2, Delta^2); on floats or arrays."""
+    radicand = (delta + 3.0 * lam) * (delta + lam)
+    return radicand, abs(radicand) <= 1e-12 * np.maximum(p.kappa ** 2, delta * delta)
+
+
 def cavity_poles(ss: SteadyState, p: SystemParams) -> PoleStructure:
     """Poles Omega_+- = -i kappa/2 +- sqrt((Delta+3|Lambda|)(Delta+|Lambda|))
     with region classification and the decay-extremum diagnostic."""
-    radicand = (ss.detuning + 3.0 * ss.lambda_abs) * (ss.detuning + ss.lambda_abs)
+    radicand, exceptional = _pole_radicand(p, ss.detuning, ss.lambda_abs)
     root = np.sqrt(complex(radicand))
     poles = (-0.5j * p.kappa + root, -0.5j * p.kappa - root)
-    if abs(radicand) <= 1e-12 * max(p.kappa ** 2, ss.detuning ** 2):
+    if exceptional:
         region = PoleRegion.EXCEPTIONAL_POINT
     elif radicand > 0:
         region = PoleRegion.SPLIT_FREQUENCIES
@@ -152,6 +176,20 @@ def cavity_poles(ss: SteadyState, p: SystemParams) -> PoleStructure:
         decay_extremum_residual=residual,
         at_decay_extremum=residual < DECAY_EXTREMUM_TOL,
     )
+
+
+def pole_columns(p: SystemParams, delta, n_c):
+    """`cavity_poles` on arrays of lower-branch points: |Re Omega_+|,
+    Im Omega_+, Im Omega_- and the region value, from the same radicand
+    and exceptional-point mask."""
+    radicand, exceptional = _pole_radicand(p, delta, p.kerr * n_c)
+    split = np.sqrt(np.abs(radicand))
+    decay = np.where(radicand < 0, split, 0.0)
+    region = np.where(exceptional, PoleRegion.EXCEPTIONAL_POINT.value,
+                      np.where(radicand > 0, PoleRegion.SPLIT_FREQUENCIES.value,
+                               PoleRegion.SPLIT_DECAYS.value))
+    return (np.where(radicand > 0, split, 0.0), -0.5 * p.kappa + decay,
+            -0.5 * p.kappa - decay, region)
 
 
 #: Detuning samples scanned for the sign changes that bracket each
@@ -208,13 +246,17 @@ def exceptional_points(p: SystemParams, n_in: float, bracket=(None, None)):
 
 def skewness(spec: Spectrum) -> float:
     """Truncated moment-based skewness of the sampled spectral values:
-    sum((x - mu)^3) / (n sigma^3) over x = values."""
+    sum((x - mu)^3) / (n sigma^3) over x = values.  The moments are
+    products of the deviations, which round as `x.std()` does and spare
+    the third power its `pow` call."""
     x = spec.values
-    mu = x.mean()
-    sigma = x.std()
+    dev = x - x.mean()
+    pw = dev * dev
+    sigma = math.sqrt(np.mean(pw))
     if sigma == 0.0:
         raise ValueError("degenerate spectrum: zero variance")
-    return float(np.mean((x - mu) ** 3) / sigma ** 3)
+    pw *= dev
+    return float(np.mean(pw) / sigma ** 3)
 
 
 #: The skewness diagnostic is defined on a fixed window of +-100 mechanical
@@ -285,14 +327,20 @@ def rate_slopes(p: SystemParams, delta, n_c, d_delta, d_n):
     return dg_s, dg_opt
 
 
+def rates_agree(gamma_s, gamma_opt, gamma_as):
+    """The closed-form Gamma_S + Gamma_opt against the spectrum's Gamma_AS,
+    to 1e-10 of Gamma_AS + Gamma_S, on floats or arrays.  The guard is
+    scale-aware because Gamma_opt cancels near the backaction-evasion
+    point."""
+    return abs(gamma_s + gamma_opt - gamma_as) <= 1e-10 * (gamma_as + gamma_s + 1e-300)
+
+
 def scattering_rates(ss: SteadyState, p: SystemParams) -> RateReport:
     """Stokes rate and optical damping from `rates`, anti-Stokes rate
     g0^2 S_nn[+omega_m] from the spectrum; the two routes agree to rounding."""
     gamma_s, gamma_opt = rates(p, ss.detuning, ss.n_c)
     gamma_as = p.g0 ** 2 * float(photon_spectrum_values(p.omega_m, ss, p))
-    # scale-aware consistency guard: Gamma_opt cancels near the
-    # backaction-evasion point
-    if not abs(gamma_s + gamma_opt - gamma_as) <= 1e-10 * (gamma_as + gamma_s + 1e-300):
+    if not rates_agree(gamma_s, gamma_opt, gamma_as):
         raise InvariantError(
             f"closed-form anti-Stokes rate {gamma_s + gamma_opt!r} disagrees with "
             f"the spectrum value {gamma_as!r}")

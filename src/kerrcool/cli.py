@@ -7,6 +7,7 @@ Exit codes: 0 success (including partial sweeps with per-row errors),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -350,8 +351,9 @@ def _bounded(convert, lo, hi=math.inf):
     return parse
 
 
-#: A spectrum grid size, and a squeezing purity.
+#: A grid size, a worker count, and a squeezing purity.
 _grid_points = _bounded(int, 2)
+_jobs = _bounded(int, 1)
 _purity = _bounded(float, 0.0, 1.0)
 
 
@@ -361,7 +363,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--oracle", action="store_true",
                      help="attach brute-force cross-checks")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_jobs, default=1)
 
 
 def _add_point(sub):
@@ -374,7 +376,12 @@ def _add_point(sub):
                      help="input flux as a fraction of the bifurcation drive")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process.  A process that makes
+    many calls (the test suite, the benchmark) otherwise keeps about
+    600 B per call that argparse does not give back, and pays a few ms
+    per call to rebuild it."""
     parser = _Parser(prog="kerrcool",
                      description="Kerr-cavity enhanced backaction cooling toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -414,7 +421,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("reproduce", help="emit a figure/table dataset")
     _add_common(s)
     s.add_argument("target", choices=REPRODUCE_TARGETS)
-    s.add_argument("--points", type=int, default=None)
+    s.add_argument("--points", type=_grid_points, default=None)
     s.set_defaults(func=_cmd_reproduce)
     return parser
 

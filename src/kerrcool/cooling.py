@@ -64,9 +64,9 @@ def mechanical_poles(ss: SteadyState, p: SystemParams):
     return (base + root, base - root)
 
 
-def _check_mech_stability(ss: SteadyState, p: SystemParams, gamma_opt: float):
-    # the physically meaningful criterion: total damping of the resonant
-    # line must stay positive (net anti-damping = instability)
+def check_net_damping(p: SystemParams, gamma_opt: float):
+    """InstabilityError unless the total damping gamma_m + Gamma_opt of the
+    resonant line stays positive (net anti-damping is an instability)."""
     if p.gamma_m + gamma_opt <= 0.0:
         raise InstabilityError(
             f"net mechanical anti-damping: gamma_m + Gamma_opt = "
@@ -77,7 +77,7 @@ def _check_mech_stability(ss: SteadyState, p: SystemParams, gamma_opt: float):
 def _mech_spectrum_evaluator(ss: SteadyState, p: SystemParams):
     """Closure evaluating the weak-coupling mechanical spectrum on arrays."""
     rates = scattering_rates(ss, p)
-    _check_mech_stability(ss, p, rates.gamma_opt)
+    check_net_damping(p, rates.gamma_opt)
     sigma = complex(cavity_self_energy(ss, p, p.omega_m))
     pole_plus, pole_minus = mechanical_poles(ss, p)
 
@@ -155,7 +155,7 @@ def occupation(ss: SteadyState, p: SystemParams) -> CoolingReport:
     algebraically identical; both are reported as a cross-check.
     """
     rates = scattering_rates(ss, p)
-    _check_mech_stability(ss, p, rates.gamma_opt)
+    check_net_damping(p, rates.gamma_opt)
     sigma = complex(cavity_self_energy(ss, p, p.omega_m))
     delta_eff = ss.delta_eff
     c_eff = rates.c_eff

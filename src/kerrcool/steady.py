@@ -262,6 +262,19 @@ def branch_slope(k_eff: float, delta: float, kappa: float, n):
     return (delta + 3.0 * k_eff * n) * (delta + k_eff * n) + kappa * kappa / 4.0
 
 
+def _is_stable(k_eff: float, delta, kappa: float, n):
+    """Classical stability label of root n, on floats or arrays.  Marginal
+    (bifurcation) roots count as stable: the slope vanishes exactly there
+    and rounding must not flip the label."""
+    scale = (abs(delta) + 3.0 * k_eff * n) * (abs(delta) + k_eff * n) + kappa * kappa / 4.0
+    return branch_slope(k_eff, delta, kappa, n) > -1e-9 * scale
+
+
+def _dust_real(roots):
+    """Mask of the closed-form roots that the dust filter accepts as real."""
+    return np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))
+
+
 def root_slopes(p: SystemParams, delta, n_c):
     """(dn_c/dDelta, dn_c/dn_in) along a root n_c of the photon cubic, on
     floats or arrays, by implicit differentiation:
@@ -295,14 +308,7 @@ def photon_branches(p: SystemParams, delta: float, n_in: float):
         if merged and abs(r - merged[-1]) <= 1e-9 * max(1.0, abs(r)):
             continue
         merged.append(max(r, 0.0))
-    out = []
-    for r in merged:
-        # marginal (bifurcation) roots count as stable: the slope vanishes
-        # exactly there and rounding must not flip the label
-        scale = (abs(delta) + 3.0 * k_eff * r) * (abs(delta) + k_eff * r) \
-            + p.kappa * p.kappa / 4.0
-        stable = branch_slope(k_eff, delta, p.kappa, r) > -1e-9 * scale
-        out.append((r, bool(stable)))
+    out = [(r, bool(_is_stable(k_eff, delta, p.kappa, r))) for r in merged]
     if len(out) == 3 and out[1][1]:
         raise InvariantError(
             f"middle root of a triple is stable at detuning={delta!r}, n_in={n_in!r}")
@@ -321,8 +327,7 @@ def lower_branch_array(p: SystemParams, deltas, n_in: float):
     if k_eff == 0.0:
         return p.kappa * n_in / (deltas * deltas + p.kappa * p.kappa / 4.0)
     roots = _closed_form_roots(k_eff, deltas, p.kappa, n_in)
-    scale = np.maximum(1.0, np.abs(roots))
-    real = np.where(np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * scale, roots.real, np.inf)
+    real = np.where(_dust_real(roots), roots.real, np.inf)
     real = np.where(real < -1e-12, np.inf, real)
     lower = np.min(real, axis=0)
     # dust filter can reject everything at a degenerate point; fall back to
@@ -335,6 +340,20 @@ def lower_branch_array(p: SystemParams, deltas, n_in: float):
         lower = np.where(missed, least.real, lower)
     lower = _newton_polish(k_eff, deltas, p.kappa, n_in, np.maximum(lower, 0.0))
     return np.maximum(lower, 0.0)
+
+
+def single_stable_root(p: SystemParams, deltas, n_in: float, n_c):
+    """Mask of the detunings where `photon_branches` returns [(n_c, True)],
+    n_c being the `lower_branch_array` root: one closed-form root passes
+    the dust filter and its label is stable.  The drive must be valid and
+    the detunings finite."""
+    deltas = np.asarray(deltas, dtype=float)
+    k_eff = effective_kerr(p)
+    if n_in == 0.0 or k_eff == 0.0:
+        return np.ones(deltas.shape, dtype=bool)
+    roots = _closed_form_roots(k_eff, deltas, p.kappa, n_in)
+    single = np.count_nonzero(_dust_real(roots), axis=0) == 1
+    return single & _is_stable(k_eff, deltas, p.kappa, n_c)
 
 
 def lower_root(p: SystemParams, delta: float, n_in: float) -> float:

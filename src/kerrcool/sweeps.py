@@ -20,14 +20,15 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import cavity, cooling, squeezing, steady
 from .errors import ConfigError, ConvergenceError, KerrcoolError
-from .params import (TAU, SystemParams, bath_temperature, bose_occupation,
-                     CRITICAL_POWER_FRACTION)
+from .params import (TAU, OperatingPoint, SystemParams, bath_temperature,
+                     bose_occupation, CRITICAL_POWER_FRACTION)
 
 #: Default resolutions: dense enough to bracket the near-critical spike in
 #: the occupation landscape (width ~1e-3 kappa at the standard drive).
@@ -304,55 +305,142 @@ def _min_occupation_row(p: SystemParams, n_in: float, xi: float) -> dict:
 # ----------------------------------------------------------------------
 # sweep kinds
 
+def _profile_row(p: SystemParams, p_lin: SystemParams, d: float, n_in: float,
+                 grid, g1_lin, linear_reference: bool) -> dict:
+    """One `detuning_profile` row from the scalar point solves, with every
+    guard and error text in place; `grid` is None without skewness."""
+    row = {"detuning_rad_s": float(d), "error": ""}
+    try:
+        roots = steady.photon_branches(p, d, n_in)
+        row["n_roots"] = len(roots)
+        row["n_c_lower"] = roots[0][0]
+        row["n_c_upper"] = roots[-1][0]
+        ss = steady.steady_at(p, d, n_in)
+        poles = cavity.cavity_poles(ss, p)
+        row["pole_re_rad_s"] = abs(poles.poles[0].real)
+        row["pole_im_plus_rad_s"] = poles.poles[0].imag
+        row["pole_im_minus_rad_s"] = poles.poles[1].imag
+        row["pole_region"] = poles.region.value
+        rates = cavity.scattering_rates(ss, p)
+        row["gamma_stokes_rad_s"] = rates.gamma_stokes
+        row["gamma_antistokes_rad_s"] = rates.gamma_antistokes
+        row["c_eff"] = rates.c_eff
+        try:
+            rep = cooling.occupation(ss, p)
+            row["n_m"] = rep.n_rate
+            row["backaction_share"] = rep.backaction_share
+        except KerrcoolError as exc:
+            row["n_m"] = math.nan
+            row["error"] = str(exc)
+        if grid is not None:
+            g1 = cavity.skewness(cavity.photon_spectrum(ss, p, grid))
+            row["skewness"] = g1
+            row["skewness_effective"] = g1 - g1_lin
+        if linear_reference:
+            ss_lin = steady.steady_at(p_lin, d, n_in)
+            row["n_c_linear"] = ss_lin.n_c
+            row["c_eff_linear"] = cavity.scattering_rates(ss_lin, p_lin).c_eff
+            try:
+                row["n_m_linear"] = cooling.occupation(ss_lin, p_lin).n_rate
+            except KerrcoolError:
+                row["n_m_linear"] = math.nan
+    except KerrcoolError as exc:
+        row["error"] = str(exc)
+    return row
+
+
+def _profile_columns(p: SystemParams, deltas: np.ndarray, n_in: float) -> dict:
+    """The array columns of one system in `detuning_profile`: lower root,
+    rates, c_eff, n_m (NaN where anti-damped) and backaction share, plus
+    `ok`, false where `_profile_row` must build the row: other than one
+    stable real root, a failed anti-Stokes cross-check, or an occupation
+    the rate kernel refuses."""
+    n_m, n_c, g_s, g_opt = _occupation_profile(p, deltas, n_in)
+    lam = p.kerr * n_c
+    # the fields `photon_spectrum_values` reads, one array each
+    fields = SimpleNamespace(n_c=n_c, delta_tilde=deltas + 2.0 * lam, lambda_abs=lam)
+    g_as = p.g0 ** 2 * cavity.photon_spectrum_values(p.omega_m, fields, p)
+    denom = p.gamma_m + g_opt
+    damped = denom > 0.0
+    # a decoupled oscillator (no rates at all) is exactly thermal
+    n_m = np.where((g_s == 0.0) & (g_opt == 0.0), p.n_th, np.where(damped, n_m, np.nan))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = g_s / denom
+    ok = (steady.single_stable_root(p, deltas, n_in, n_c)
+          & cavity.rates_agree(g_s, g_opt, g_as) & ~np.isinf(n_m))
+    return {"n_c": n_c, "g_s": g_s, "g_as": g_as, "g_opt": g_opt,
+            "c_eff": g_opt / p.gamma_m, "n_m": n_m, "share": share,
+            "damped": damped, "ok": ok}
+
+
 def detuning_profile(p: SystemParams, n_in: float, deltas,
                      include_skewness: bool = True,
                      linear_reference: bool = True) -> list:
-    """Per-detuning dataset: branches, poles, rates, occupation, skewness."""
+    """Per-detuning dataset: branches, poles, rates, occupation, skewness.
+
+    Array-native: one `lower_branch_array` solve per system (the full one
+    and, for the linear reference, `without_kerr`), then poles, rates and
+    occupations as one array expression each.  The skewness takes one
+    20,001-point spectrum per row.  Rows that trip a guard the arrays do
+    not carry (more than one real root, a failed anti-Stokes cross-check,
+    a parametric instability) are built by `_profile_row`, the scalar row
+    code and the one home of those error texts; anti-damped rows take
+    theirs from `cooling.check_net_damping`.
+    """
     deltas = np.asarray(deltas, dtype=float)
     p_lin = p.without_kerr()
+    grid = g1_lin = None
     if include_skewness:
         grid = cavity.skewness_grid(p)
         base_ss = steady.steady_at(p_lin, float(deltas[len(deltas) // 2]), n_in)
-        g1_lin_const = cavity.skewness(cavity.photon_spectrum(base_ss, p_lin, grid))
+        g1_lin = cavity.skewness(cavity.photon_spectrum(base_ss, p_lin, grid))
+
+    def scalar_row(d):
+        return _profile_row(p, p_lin, d, n_in, grid, g1_lin, linear_reference)
+
+    try:
+        OperatingPoint(0.0, n_in)
+    except ConfigError:
+        return [scalar_row(d) for d in deltas]
+    finite = np.isfinite(deltas)
+    safe = np.where(finite, deltas, 0.0)
+    nl = _profile_columns(p, safe, n_in)
+    ok = finite & nl["ok"]
+    cols = [nl["n_c"], *cavity.pole_columns(p, safe, nl["n_c"]), nl["g_s"], nl["g_as"],
+            nl["c_eff"], nl["n_m"], nl["share"], nl["g_opt"], nl["damped"]]
+    if linear_reference:
+        lin = _profile_columns(p_lin, safe, n_in)
+        ok &= lin["ok"]
+        cols += [lin["n_c"], lin["c_eff"], lin["n_m"]]
     rows = []
-    for d in deltas:
-        row = {"detuning_rad_s": float(d), "error": ""}
-        try:
-            roots = steady.photon_branches(p, d, n_in)
-            row["n_roots"] = len(roots)
-            row["n_c_lower"] = roots[0][0]
-            row["n_c_upper"] = roots[-1][0]
-            ss = steady.steady_at(p, d, n_in)
-            poles = cavity.cavity_poles(ss, p)
-            row["pole_re_rad_s"] = abs(poles.poles[0].real)
-            row["pole_im_plus_rad_s"] = poles.poles[0].imag
-            row["pole_im_minus_rad_s"] = poles.poles[1].imag
-            row["pole_region"] = poles.region.value
-            rates = cavity.scattering_rates(ss, p)
-            row["gamma_stokes_rad_s"] = rates.gamma_stokes
-            row["gamma_antistokes_rad_s"] = rates.gamma_antistokes
-            row["c_eff"] = rates.c_eff
+    for (d, good, n_c, re, im_plus, im_minus, region, g_s, g_as, c_eff, n_m, share,
+         g_opt, damped, *linear) in zip(deltas, ok.tolist(), *(c.tolist() for c in cols)):
+        if not good:
+            rows.append(scalar_row(d))
+            continue
+        row = {"detuning_rad_s": float(d), "error": "", "n_roots": 1,
+               "n_c_lower": n_c, "n_c_upper": n_c, "pole_re_rad_s": re,
+               "pole_im_plus_rad_s": im_plus, "pole_im_minus_rad_s": im_minus,
+               "pole_region": region, "gamma_stokes_rad_s": g_s,
+               "gamma_antistokes_rad_s": g_as, "c_eff": c_eff, "n_m": n_m}
+        if damped:
+            row["backaction_share"] = share
+        else:
             try:
-                rep = cooling.occupation(ss, p)
-                row["n_m"] = rep.n_rate
-                row["backaction_share"] = rep.backaction_share
+                cooling.check_net_damping(p, g_opt)
             except KerrcoolError as exc:
-                row["n_m"] = math.nan
                 row["error"] = str(exc)
-            if include_skewness:
+        if grid is not None:
+            ss = steady.state_for_root(p, d, n_in, n_c, steady.Branch.MONOSTABLE)
+            try:
                 g1 = cavity.skewness(cavity.photon_spectrum(ss, p, grid))
-                row["skewness"] = g1
-                row["skewness_effective"] = g1 - g1_lin_const
-            if linear_reference:
-                ss_lin = steady.steady_at(p_lin, d, n_in)
-                row["n_c_linear"] = ss_lin.n_c
-                row["c_eff_linear"] = cavity.scattering_rates(ss_lin, p_lin).c_eff
-                try:
-                    row["n_m_linear"] = cooling.occupation(ss_lin, p_lin).n_rate
-                except KerrcoolError:
-                    row["n_m_linear"] = math.nan
-        except KerrcoolError as exc:
-            row["error"] = str(exc)
+            except KerrcoolError:
+                rows.append(scalar_row(d))
+                continue
+            row["skewness"] = g1
+            row["skewness_effective"] = g1 - g1_lin
+        if linear_reference:
+            row["n_c_linear"], row["c_eff_linear"], row["n_m_linear"] = linear
         rows.append(row)
     return rows
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -182,6 +183,25 @@ class TestSkewness:
         a = kc.skewness(Spectrum(grid=grid, values=vals))
         b = kc.skewness(Spectrum(grid=grid, values=1e7 * vals))
         assert a == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_mpmath(self, defaults, crit_drive, seed):
+        # the product-form moments of a 20,001-point photon spectrum, with
+        # the sums, deviations and powers redone in 50 digits
+        rng = np.random.default_rng(seed)
+        p = defaults.replace(g0=TAU * rng.uniform(1.7e3, 35e3))
+        if seed % 2:
+            p = p.without_kerr()
+        delta = -rng.uniform(0.01, 12.0) * defaults.omega_m
+        ss = kc.steady_at(p, delta, rng.uniform(0.01, 1.0) * crit_drive)
+        spec = kc.photon_spectrum(ss, p, skewness_grid(p))
+        with mpmath.workdps(50):
+            x = [mpmath.mpf(v) for v in spec.values]
+            mu = mpmath.fsum(x) / len(x)
+            m2 = mpmath.fsum((v - mu) ** 2 for v in x) / len(x)
+            m3 = mpmath.fsum((v - mu) ** 3 for v in x) / len(x)
+            exact = m3 / m2 ** mpmath.mpf(1.5)
+        assert kc.skewness(spec) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 class TestScatteringRates:

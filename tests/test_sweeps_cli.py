@@ -268,6 +268,19 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--xi" in captured.err and "Traceback" not in captured.err
+        # grid sizes below two and worker counts below one, on every target
+        for argv, flag in ((["reproduce", "fig7", "--points", "0"], "--points"),
+                           (["reproduce", "fig7", "--points", "1"], "--points"),
+                           (["reproduce", "fig2", "--points", "-3"], "--points"),
+                           (["reproduce", "table-values", "--points", "-3"], "--points"),
+                           (["reproduce", "table-values", "--jobs", "0"], "--jobs"),
+                           (["reproduce", "fig6", "--jobs", "-5"], "--jobs"),
+                           (["sweep", "spec.cfg", "--jobs", "0"], "--jobs"),
+                           (["steady", "--jobs", "x"], "--jobs")):
+            assert run_cli(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert flag in captured.err and "Traceback" not in captured.err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
