@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InstabilityError, InvariantError
+from .errors import (ConvergenceError, DegenerateSpectrumError, InstabilityError,
+                     InvariantError)
 from .params import SystemParams
 from .steady import SteadyState, lower_branch_array, lower_root
 from . import steady as _steady
@@ -254,7 +255,7 @@ def skewness(spec: Spectrum) -> float:
     pw = dev * dev
     sigma = math.sqrt(np.mean(pw))
     if sigma == 0.0:
-        raise ValueError("degenerate spectrum: zero variance")
+        raise DegenerateSpectrumError("degenerate spectrum: zero variance")
     pw *= dev
     return float(np.mean(pw) / sigma ** 3)
 
@@ -266,18 +267,15 @@ SKEWNESS_SPAN_OMEGA_M = 100.0
 SKEWNESS_POINTS = 20001
 
 
-def skewness_grid(p: SystemParams,
-                  span: float = SKEWNESS_SPAN_OMEGA_M,
-                  points: int = SKEWNESS_POINTS) -> np.ndarray:
-    return np.linspace(-span * p.omega_m, span * p.omega_m, points)
+def skewness_grid(p: SystemParams) -> np.ndarray:
+    span = SKEWNESS_SPAN_OMEGA_M * p.omega_m
+    return np.linspace(-span, span, SKEWNESS_POINTS)
 
 
-def effective_skewness(p: SystemParams, n_in: float, delta: float,
-                       span: float = SKEWNESS_SPAN_OMEGA_M,
-                       points: int = SKEWNESS_POINTS) -> float:
+def effective_skewness(p: SystemParams, n_in: float, delta: float) -> float:
     """Spectrum skewness relative to the linear-cavity (K = 0) baseline
     computed on the identical grid at the same drive and detuning."""
-    grid = skewness_grid(p, span, points)
+    grid = skewness_grid(p)
     ss = _steady.steady_at(p, delta, n_in)
     g1 = skewness(photon_spectrum(ss, p, grid))
     ss0 = _steady.steady_at(p.without_kerr(), delta, n_in)

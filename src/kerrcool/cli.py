@@ -52,11 +52,11 @@ def _detuning(p: SystemParams, args) -> float:
     return steady.bifurcation(p).delta_bi
 
 
-def _emit_rows(rows, args, columns=None):
+def _emit_rows(rows, args):
     if args.format == "json":
         io.emit(io.to_json(rows), args.out)
     else:
-        io.emit(io.rows_to_csv(rows, columns), args.out)
+        io.emit(io.rows_to_csv(rows), args.out)
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +112,7 @@ def _cmd_spectrum(args) -> int:
         num = oracle.numeric_spectrum(dm, corr, args.kind, grid)
         for row, v in zip(rows, num.values):
             row["oracle"] = v
-    _emit_rows(rows, args, None)
+    _emit_rows(rows, args)
     return 0
 
 
@@ -250,84 +250,87 @@ def _cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 # reproduction harness
 
-def _merge_modes(nl_rows, lin_rows, key):
-    merged = []
-    for a, b in zip(nl_rows, lin_rows):
-        row = dict(a)
-        for col, val in b.items():
-            if col != key:
-                row[f"linear_{col}"] = val
-        merged.append(row)
-    return merged
+def _profile_target(skew: bool, p: SystemParams, jobs: int, points: int | None):
+    """The detuning profile at equal drive: fig2, fig3 and fig5 plot columns
+    of one dataset, and fig4 trades its linear reference for the skewness
+    columns."""
+    ax = AxisRange(-12.0 * p.omega_m / TAU, -0.01 * p.omega_m / TAU,
+                   points or (1201 if skew else sweeps.PROFILE_POINTS))
+    n_in = sweeps.equal_drive(p, CRITICAL_POWER_FRACTION)
+    return sweeps.detuning_profile(p, n_in, TAU * ax.grid(),
+                                   include_skewness=skew, linear_reference=not skew)
 
 
-#: Targets comparing the two modes at g0/2pi = 15 kHz: sweep kind,
-#: omega_m/kappa axis (start, stop, scale), xi of the nonlinear run and of
-#: the linear-comparison run.
-TWO_MODE_TARGETS = {
-    "fig7": (SweepKind.SIDEBAND_SWEEP, (0.02, 2.0, "log"), None, None),
-    "fig8": (SweepKind.OPTIMAL_POWER_CURVE, (0.02, 1.0, "log"), None, None),
-    "fig9": (SweepKind.SIDEBAND_SWEEP_SQUEEZED, (0.02, 2.0, "log"), 0.9, 0.9),
-    "fig10": (SweepKind.SIDEBAND_SWEEP_SQUEEZED, (0.02, 0.5, "log"), 0.44, 0.99),
+def _coupling_target(p: SystemParams, jobs: int, points: int | None):
+    spec = SweepSpec(SweepKind.COUPLING_SWEEP,
+                     {"g0_hz": AxisRange(1.7e3, 35e3, points or sweeps.OUTER_AXIS_POINTS)})
+    return sweeps.run_sweep(spec, p, jobs)
+
+
+def _two_mode_target(kind: SweepKind, hi: float, xi_nl, xi_lin,
+                     p: SystemParams, jobs: int, points: int | None):
+    """Both modes at g0/2pi = 15 kHz on a log axis of omega_m/kappa from
+    0.02 to hi; xi_nl and xi_lin are the squeezing of each mode's run."""
+    ax = {"omega_frac": AxisRange(0.02, hi, points or sweeps.OUTER_AXIS_POINTS, "log")}
+    p15 = p.replace(g0=TAU * 15e3)
+    nl = sweeps.run_sweep(SweepSpec(kind, ax, Mode.NONLINEAR, squeeze_xi=xi_nl), p15, jobs)
+    lin = sweeps.run_sweep(SweepSpec(kind, ax, Mode.LINEAR_COMPARISON, squeeze_xi=xi_lin),
+                           p15, jobs)
+    # one row per omega_frac, the linear run's columns prefixed
+    return [dict(a, **{f"linear_{col}": v for col, v in b.items() if col != "omega_frac"})
+            for a, b in zip(nl, lin)]
+
+
+def _map_target(p: SystemParams, jobs: int, points: int | None):
+    m = points or sweeps.MAP_POINTS
+    axes = {"g0_hz": AxisRange(2e3, 5e4, m, "log"),
+            "omega_frac": AxisRange(0.05, 0.35, m)}
+    rows = []
+    for mode in (Mode.NONLINEAR, Mode.LINEAR_COMPARISON):
+        spec = SweepSpec(SweepKind.GROUND_STATE_MAP, axes, mode)
+        rows += [dict(row, mode=mode.value) for row in sweeps.run_sweep(spec, p, jobs)]
+    return rows
+
+
+def _table_values(p: SystemParams, jobs: int, points: int | None):
+    n_in = sweeps.equal_drive(p, CRITICAL_POWER_FRACTION)
+    _, c_nl = sweeps.max_damping_point(p, n_in)
+    d_nl, nm_nl = sweeps.optimal_detuning(p, n_in)
+    rep = cooling.occupation(steady.steady_at(p, d_nl, n_in), p)
+    pl = p.without_kerr()
+    _, c_lin = sweeps.max_damping_point(pl, n_in)
+    _, nm_lin = sweeps.optimal_detuning(pl, n_in)
+    return {
+        "c_eff_nl": c_nl, "c_eff_lin": c_lin,
+        "n_m_nl": nm_nl, "n_m_lin": nm_lin,
+        "n_ba_share": rep.backaction_share,
+        "n_th": p.n_th,
+    }
+
+
+_profile = functools.partial(_profile_target, False)
+
+#: Every reproduce target: its dataset as f(p, jobs, points), a list of
+#: rows or one JSON object.  fig2, fig3 and fig5 are one dataset.
+_REPRODUCE = {
+    "fig2": _profile, "fig3": _profile,
+    "fig4": functools.partial(_profile_target, True),
+    "fig5": _profile,
+    "fig6": _coupling_target,
+    "fig7": functools.partial(_two_mode_target, SweepKind.SIDEBAND_SWEEP, 2.0, None, None),
+    "fig8": functools.partial(_two_mode_target, SweepKind.OPTIMAL_POWER_CURVE, 1.0, None, None),
+    "fig9": functools.partial(_two_mode_target, SweepKind.SIDEBAND_SWEEP_SQUEEZED, 2.0, 0.9, 0.9),
+    "fig10": functools.partial(_two_mode_target, SweepKind.SIDEBAND_SWEEP_SQUEEZED,
+                               0.5, 0.44, 0.99),
+    "appF": _map_target,
+    "table-values": _table_values,
 }
-
-
-def _reproduce(target: str, p: SystemParams, jobs: int, points: int | None):
-    n = points or sweeps.OUTER_AXIS_POINTS
-    cap = CRITICAL_POWER_FRACTION
-    if target in ("fig2", "fig3", "fig4", "fig5"):
-        # fig4 trades the linear reference for the skewness columns
-        skew = target == "fig4"
-        ax = AxisRange(-12.0 * p.omega_m / TAU, -0.01 * p.omega_m / TAU,
-                       points or (1201 if skew else sweeps.PROFILE_POINTS))
-        return sweeps.detuning_profile(p, sweeps.equal_drive(p, cap), TAU * ax.grid(),
-                                       include_skewness=skew, linear_reference=not skew)
-    if target == "fig6":
-        spec = SweepSpec(SweepKind.COUPLING_SWEEP,
-                         {"g0_hz": AxisRange(1.7e3, 35e3, n)})
-        return sweeps.run_sweep(spec, p, jobs)
-    if target in TWO_MODE_TARGETS:
-        kind, (lo, hi, scale), xi_nl, xi_lin = TWO_MODE_TARGETS[target]
-        ax = {"omega_frac": AxisRange(lo, hi, n, scale)}
-        p15 = p.replace(g0=TAU * 15e3)
-        nl = sweeps.run_sweep(SweepSpec(kind, ax, Mode.NONLINEAR, squeeze_xi=xi_nl), p15, jobs)
-        lin = sweeps.run_sweep(SweepSpec(kind, ax, Mode.LINEAR_COMPARISON, squeeze_xi=xi_lin),
-                               p15, jobs)
-        return _merge_modes(nl, lin, "omega_frac")
-    if target == "appF":
-        m = points or sweeps.MAP_POINTS
-        axes = {"g0_hz": AxisRange(2e3, 5e4, m, "log"),
-                "omega_frac": AxisRange(0.05, 0.35, m)}
-        rows = []
-        for mode in (Mode.NONLINEAR, Mode.LINEAR_COMPARISON):
-            for row in sweeps.run_sweep(SweepSpec(SweepKind.GROUND_STATE_MAP, axes, mode), p, jobs):
-                row["mode"] = mode.value
-                rows.append(row)
-        return rows
-    if target == "table-values":
-        n_in = sweeps.equal_drive(p, cap)
-        _, c_nl = sweeps.max_damping_point(p, n_in)
-        d_nl, nm_nl = sweeps.optimal_detuning(p, n_in)
-        rep = cooling.occupation(steady.steady_at(p, d_nl, n_in), p)
-        pl = p.without_kerr()
-        _, c_lin = sweeps.max_damping_point(pl, n_in)
-        _, nm_lin = sweeps.optimal_detuning(pl, n_in)
-        return {
-            "c_eff_nl": c_nl, "c_eff_lin": c_lin,
-            "n_m_nl": nm_nl, "n_m_lin": nm_lin,
-            "n_ba_share": rep.backaction_share,
-            "n_th": p.n_th,
-        }
-    raise ConfigError(f"unknown reproduce target {target!r}")
-
-
-REPRODUCE_TARGETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                     "fig9", "fig10", "appF", "table-values")
+REPRODUCE_TARGETS = tuple(_REPRODUCE)
 
 
 def _cmd_reproduce(args) -> int:
     p = _load_params(args)
-    result = _reproduce(args.target, p, args.jobs, args.points)
+    result = _REPRODUCE[args.target](p, args.jobs, args.points)
     if isinstance(result, dict):
         io.emit(io.to_json(result), args.out)
     else:

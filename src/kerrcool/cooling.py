@@ -122,14 +122,6 @@ class CoolingReport:
     n_oracle: float | None = None   # quadrature occupation when requested
     oracle_err: float | None = None
 
-    #: CSV column order used by serialization.
-    CSV_COLUMNS = (
-        "gamma_stokes_rad_s", "gamma_antistokes_rad_s", "gamma_opt_rad_s",
-        "c_eff", "sigma_m_re_rad_s", "sigma_m_im_rad_s", "delta_eff_rad_s",
-        "n_closed", "n_rate", "n_backaction", "thermal_share",
-        "backaction_share", "n_oracle",
-    )
-
     def to_dict(self) -> dict:
         return {
             "gamma_stokes_rad_s": self.rates.gamma_stokes,
@@ -207,8 +199,10 @@ def ground_state_feasible(p: SystemParams) -> bool:
     return p.omega_m / p.kappa > 1.0 / (4.0 * math.sqrt(2.0))
 
 
-#: Quadrature window half-width in units of the total mechanical linewidth.
+#: Quadrature window half-width in units of the total mechanical linewidth,
+#: and the relative tolerance of each window's adaptive quadrature.
 QUAD_WINDOW_LINEWIDTHS = 1e4
+QUAD_RTOL = 1e-6
 
 
 def quadrature_segments(center: float, half: float):
@@ -225,8 +219,7 @@ def quadrature_segments(center: float, half: float):
              (center - half, center + half, [center])], center + half)
 
 
-def integrate_mech_spectrum(ss: SteadyState, p: SystemParams,
-                            rtol: float = 1e-6):
+def integrate_mech_spectrum(ss: SteadyState, p: SystemParams):
     """Occupation from adaptive quadrature of the closed-form mechanical
     noise spectrum over both resonant lines plus a coarse tail scan.
     Returns (value, error_estimate)."""
@@ -240,7 +233,7 @@ def integrate_mech_spectrum(ss: SteadyState, p: SystemParams,
     total, err = 0.0, 0.0
     segments, edge = quadrature_segments(center, QUAD_WINDOW_LINEWIDTHS * width)
     for lo, hi, pts in segments:
-        val, e = quad(f, lo, hi, points=pts, limit=400, epsrel=rtol)
+        val, e = quad(f, lo, hi, points=pts, limit=400, epsrel=QUAD_RTOL)
         total += val
         err += e
     # coarse tails out to +-20 kappa: the spectrum decays like 1/w^2 there

@@ -24,6 +24,11 @@ class InstabilityError(KerrcoolError):
     the cavity, or net mechanical anti-damping)."""
 
 
+class DegenerateSpectrumError(KerrcoolError, ValueError):
+    """A spectrum without variance (for example at zero drive), whose
+    skewness is undefined."""
+
+
 class ConvergenceError(KerrcoolError):
     """Iterative routine (quadrature, bisection) failed to converge."""
 

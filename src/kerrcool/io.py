@@ -52,19 +52,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list, columns: list | None = None) -> str:
-    """Render dict rows as CSV with a fixed column order (first line header).
+def rows_to_csv(rows: list) -> str:
+    """Render dict rows as CSV (first line header).
 
-    Columns default to the union of keys in first-appearance order.  Cells
+    The columns are the union of keys in first-appearance order.  Cells
     holding a comma, quote or line break are quoted, as is the lone empty
     cell of a one-column row; all others are written bare.
     """
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

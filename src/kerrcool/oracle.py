@@ -130,8 +130,7 @@ def numeric_spectrum(dm: DynamicalMatrix, correlators: np.ndarray,
                     meta={"kind": f"numeric_{pair}"})
 
 
-def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray,
-                       rtol: float = 1e-6):
+def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray):
     """Occupation from adaptive quadrature of the numeric mechanical
     spectrum; returns (value, error_estimate).
 
@@ -140,7 +139,8 @@ def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray,
     rather than integration domains.
     """
     from .cavity import scattering_rates
-    from .cooling import QUAD_WINDOW_LINEWIDTHS, cavity_self_energy, quadrature_segments
+    from .cooling import (QUAD_RTOL, QUAD_WINDOW_LINEWIDTHS, cavity_self_energy,
+                          quadrature_segments)
 
     if not dm.is_stable():
         raise InstabilityError("dynamical matrix has an eigenvalue with Re >= 0")
@@ -161,7 +161,7 @@ def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray,
     segments, edge = quadrature_segments(center, QUAD_WINDOW_LINEWIDTHS * width)
     for lo, hi, pts in segments:
         with np.errstate(all="ignore"):
-            val, e = quad(f, lo, hi, points=pts, limit=400, epsrel=rtol)
+            val, e = quad(f, lo, hi, points=pts, limit=400, epsrel=QUAD_RTOL)
         if not math.isfinite(val):
             raise ConvergenceError("numeric occupation quadrature diverged")
         total += val

@@ -99,7 +99,13 @@ def bose_occupation(omega: float, temperature: float) -> float:
     for a bath at the given temperature (K)."""
     if temperature <= 0:
         return 0.0
-    return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
+    x = hbar * omega / (k_B * temperature)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:   # x above about 709: the limit e^-x, or 0
+        return math.exp(-x)
+    except ZeroDivisionError:   # x = 0: no finite occupation
+        return math.inf
 
 
 def bath_temperature(omega: float, n_th: float) -> float:

@@ -13,6 +13,14 @@ Conventions shared by the sweep kinds:
 * Sweeps that vary the mechanical frequency hold the bath temperature
   fixed at the value implied by the base parameters and recompute the
   thermal occupation per point through the Bose-Einstein law.
+
+Each of these choices is made in one place.  `_equal_drive_target` gives
+the system and drive of every equal-drive comparison (sideband rows, map
+cells, boundary probes, the detuning-profile sweep).  A ground-state map
+cell and a probe of its one-phonon boundary are one function,
+`_map_occupation`.  Each row-wise sweep kind is one entry of `_KINDS`: its
+axes and its row.  The reproduce targets fig2, fig3 and fig5 are one
+`detuning_profile` dataset.
 """
 from __future__ import annotations
 
@@ -116,18 +124,6 @@ def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0
     return n_m if math.isfinite(n_m) and n_m > 0.0 else math.inf
 
 
-def _cooperativity_profile(p: SystemParams, deltas: np.ndarray, n_in: float):
-    n_c = steady.lower_branch_array(p, deltas, n_in)
-    _, g_opt = cavity.rates(p, deltas, n_c)
-    return g_opt / p.gamma_m
-
-
-def _cooperativity_scalar(p: SystemParams, delta: float, n_in: float) -> float:
-    delta = float(delta)
-    _, g_opt = cavity.rates(p, delta, steady.lower_root(p, delta, n_in))
-    return g_opt / p.gamma_m
-
-
 def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bool):
     """(Gamma_S, Gamma_opt) on the lower branch and their derivatives along
     the detuning, or along the input flux."""
@@ -148,12 +144,6 @@ def _occupation_slope(p: SystemParams, delta: float, n_in: float, xi: float = 0.
         return math.nan
     n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
     return ((1.0 - xi) * dg_s - n_m * dg_opt) / denom
-
-
-def _cooperativity_slope(p: SystemParams, delta: float, n_in: float) -> float:
-    """dC_eff/dDelta of `_cooperativity_scalar`."""
-    _, (_, dg_opt) = _rates_and_slopes(p, delta, n_in, along_flux=False)
-    return dg_opt / p.gamma_m
 
 
 # ----------------------------------------------------------------------
@@ -217,16 +207,20 @@ def optimal_detuning(p: SystemParams, n_in: float, xi: float = 0.0,
                            lambda d: _occupation_slope(p, d, n_in, xi))
 
 
-def max_damping_point(p: SystemParams, n_in: float,
-                      window: tuple | None = None,
-                      grid_points: int = PROFILE_POINTS):
-    """Detuning maximizing the effective cooperativity at fixed drive, at a
-    root of dC_eff/dDelta; returns (delta, C_eff)."""
-    lo, hi = window or detuning_window(p)
-    grid = np.linspace(lo, hi, grid_points)
-    d, negc = _grid_slope_min(-_cooperativity_profile(p, grid, n_in), grid,
-                              lambda x: -_cooperativity_scalar(p, x, n_in),
-                              lambda x: -_cooperativity_slope(p, x, n_in))
+def max_damping_point(p: SystemParams, n_in: float):
+    """Detuning maximizing the effective cooperativity C_eff =
+    Gamma_opt / gamma_m at fixed drive, at a root of dC_eff/dDelta; returns
+    (delta, C_eff)."""
+    grid = np.linspace(*detuning_window(p), PROFILE_POINTS)
+    g_opt = _occupation_profile(p, grid, n_in)[3]
+
+    def neg_c(x):
+        """-C_eff at detuning x, and its slope along the detuning."""
+        (_, g), (_, dg) = _rates_and_slopes(p, x, n_in, along_flux=False)
+        return -g / p.gamma_m, -dg / p.gamma_m
+
+    d, negc = _grid_slope_min(-g_opt / p.gamma_m, grid,
+                              lambda x: neg_c(x)[0], lambda x: neg_c(x)[1])
     return d, -negc
 
 
@@ -289,17 +283,20 @@ def equal_drive(p: SystemParams, cap_fraction: float) -> float:
     return steady.critical_power(p, cap_fraction)
 
 
-def _min_occupation_row(p: SystemParams, n_in: float, xi: float) -> dict:
-    delta, n_m = optimal_detuning(p, n_in, xi)
-    row = {"delta_rad_s": delta, "n_m": n_m, "n_in_per_s": n_in}
-    if math.isfinite(n_m):
-        ss = steady.steady_at(p, delta, n_in)
-        row["delta_eff_rad_s"] = ss.delta_eff
-        row["n_c"] = ss.n_c
-        if xi > 0.0:
-            _, wp, n_s, r, db = squeezing.squeezed_backaction(ss, p, xi)
-            row.update({"wp": wp, "n_s_matched": n_s, "r": r, "squeeze_db": db})
-    return row
+def _equal_drive_target(p: SystemParams, mode: Mode, cap_fraction: float):
+    """(system, drive) of an equal-drive comparison: `equal_drive` of p, on
+    p or, in linear-comparison mode, on p without the intrinsic Kerr."""
+    n_in = equal_drive(p, cap_fraction)
+    return (p.without_kerr() if mode is Mode.LINEAR_COMPARISON else p), n_in
+
+
+def _map_occupation(p: SystemParams, omega_frac: float, mode: Mode,
+                    cap_fraction: float, xi: float) -> float:
+    """Least occupation of one ground-state map cell: the sideband variant
+    at omega_frac, at equal drive, over a `PROFILE_POINTS // 2` detuning
+    grid.  The one-phonon boundary is a root of this minus one."""
+    target, n_in = _equal_drive_target(sideband_variant(p, omega_frac), mode, cap_fraction)
+    return optimal_detuning(target, n_in, xi, grid_points=PROFILE_POINTS // 2)[1]
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +485,16 @@ def _sideband_row(p: SystemParams, omega_frac: float, mode: Mode,
     row = {"omega_frac": omega_frac, "omega_m_hz": pv.omega_m / TAU,
            "n_th": pv.n_th, "error": ""}
     try:
-        n_in = equal_drive(pv, cap_fraction)
-        target = pv.without_kerr() if mode is Mode.LINEAR_COMPARISON else pv
-        row.update(_min_occupation_row(target, n_in, xi))
+        target, n_in = _equal_drive_target(pv, mode, cap_fraction)
+        delta, n_m = optimal_detuning(target, n_in, xi)
+        row.update({"delta_rad_s": delta, "n_m": n_m, "n_in_per_s": n_in})
+        if math.isfinite(n_m):
+            ss = steady.steady_at(target, delta, n_in)
+            row["delta_eff_rad_s"] = ss.delta_eff
+            row["n_c"] = ss.n_c
+            if xi > 0.0:
+                _, wp, n_s, r, db = squeezing.squeezed_backaction(ss, target, xi)
+                row.update({"wp": wp, "n_s_matched": n_s, "r": r, "squeeze_db": db})
         _, n_ba_min = cooling.min_backaction(pv)
         row["n_ba_min"] = n_ba_min
         if xi > 0.0:
@@ -512,35 +516,25 @@ def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
             bi_lin = steady.bifurcation(pl)
             delta, n_in, rep = optimize_operating_point(
                 pl, power_cap=cap_fraction, n_in_bi=bi_lin.n_in_bi)
-            row.update({
-                "n_in_per_s": n_in,
-                "n_in_over_own_bi": n_in / bi_lin.n_in_bi,
-                "n_in_over_nl_bi": n_in / bi_nl.n_in_bi,
-                "delta_rad_s": delta, "n_m": rep.n_rate, "converged": True,
-            })
+            n_m, own_bi, nl_bi = rep.n_rate, n_in / bi_lin.n_in_bi, n_in / bi_nl.n_in_bi
         else:
             n_in = cap_fraction * bi_nl.n_in_bi
             delta, n_m = optimal_detuning(pv, n_in)
-            row.update({
-                "n_in_per_s": n_in, "n_in_over_own_bi": cap_fraction,
-                "n_in_over_nl_bi": cap_fraction,
-                "delta_rad_s": delta, "n_m": n_m, "converged": True,
-            })
+            own_bi = nl_bi = cap_fraction
+        row.update({"n_in_per_s": n_in, "n_in_over_own_bi": own_bi, "n_in_over_nl_bi": nl_bi,
+                    "delta_rad_s": delta, "n_m": n_m, "converged": True})
     except KerrcoolError as exc:
         row["error"] = str(exc)
     return row
 
 
-def _map_row(p: SystemParams, g0: float, omega_frac: float, mode: Mode,
-             cap_fraction: float, xi: float = 0.0) -> dict:
-    pv = sideband_variant(p.replace(g0=g0), omega_frac)
-    row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / pv.kappa,
+def _map_row(spec: SweepSpec, p: SystemParams, g0: float, omega_frac: float) -> dict:
+    pg = p.replace(g0=g0)
+    row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / p.kappa,
            "omega_frac": omega_frac, "error": ""}
     try:
-        n_in = equal_drive(pv, cap_fraction)
-        target = pv.without_kerr() if mode is Mode.LINEAR_COMPARISON else pv
-        _, n_m = optimal_detuning(target, n_in, xi,
-                                  grid_points=PROFILE_POINTS // 2)
+        n_m = _map_occupation(pg, omega_frac, spec.mode, spec.cap_fraction,
+                              spec.squeeze_xi or 0.0)
         row["n_m"] = n_m
         row["ground_state"] = bool(n_m < 1.0)
     except KerrcoolError as exc:
@@ -548,13 +542,12 @@ def _map_row(p: SystemParams, g0: float, omega_frac: float, mode: Mode,
     return row
 
 
-def _boundary_row(p: SystemParams, g0: float, omega_bracket: tuple, mode: Mode,
-                  cap_fraction: float, xi: float = 0.0) -> dict:
+def _boundary_row(spec: SweepSpec, p: SystemParams, g0: float, omega_bracket: tuple) -> dict:
     row = {"kind": "boundary", "g0_hz": g0 / TAU,
            "g0_over_kappa": g0 / p.kappa, "error": ""}
     try:
         row["omega_frac"] = ground_state_onset_omega(
-            p, g0, mode, cap_fraction, xi, bracket=omega_bracket)
+            p, g0, spec.mode, spec.cap_fraction, spec.squeeze_xi or 0.0, bracket=omega_bracket)
     except KerrcoolError as exc:
         row["error"] = str(exc)
     return row
@@ -570,10 +563,7 @@ def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
     pb = p.replace(g0=g0)
 
     def excess(frac):
-        pv = sideband_variant(pb, frac)
-        n_in = equal_drive(pv, cap_fraction)
-        target = pv.without_kerr() if mode is Mode.LINEAR_COMPARISON else pv
-        return optimal_detuning(target, n_in, xi, grid_points=PROFILE_POINTS // 2)[1] - 1.0
+        return _map_occupation(pb, frac, mode, cap_fraction, xi) - 1.0
 
     above = excess(lo)
     below = excess(hi) if above > 0.0 else math.nan
@@ -587,31 +577,51 @@ def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
 # ----------------------------------------------------------------------
 # sweep driver
 
-def _row_worker(args):
-    spec, p, value = args
-    kind = spec.kind
-    xi = spec.squeeze_xi or 0.0
-    if kind is SweepKind.COUPLING_SWEEP:
-        return _coupling_row(p, value, spec.cap_fraction)
-    if kind is SweepKind.SIDEBAND_SWEEP:
-        return _sideband_row(p, value, spec.mode, spec.cap_fraction, 0.0)
-    if kind is SweepKind.SIDEBAND_SWEEP_SQUEEZED:
-        return _sideband_row(p, value, spec.mode, spec.cap_fraction, xi)
-    if kind is SweepKind.OPTIMAL_POWER_CURVE:
-        return _power_row(p, value, spec.mode, spec.cap_fraction)
-    if kind is SweepKind.GROUND_STATE_MAP:
-        if value[0] == "boundary":
-            return _boundary_row(p, value[1], value[2], spec.mode,
-                                 spec.cap_fraction, xi)
-        return _map_row(p, value[0], value[1], spec.mode, spec.cap_fraction, xi)
-    raise ConfigError(f"unsupported sweep kind {kind}")
-
-
 def _axis(spec: SweepSpec, name: str) -> AxisRange:
     try:
         return spec.ranges[name]
     except KeyError:
         raise ConfigError(f"sweep kind {spec.kind.value} needs axis {name!r}") from None
+
+
+def _g0_values(spec: SweepSpec) -> list:
+    return [TAU * g for g in _axis(spec, "g0_hz").grid()]
+
+
+def _omega_values(spec: SweepSpec) -> list:
+    return list(_axis(spec, "omega_frac").grid())
+
+
+def _map_values(spec: SweepSpec) -> list:
+    """The (g0, omega_frac) cells, then per coupling the one-phonon
+    boundary, found by Brent's method inside the swept window; each task
+    names its row function."""
+    g_axis = _g0_values(spec)
+    o_axis = _omega_values(spec)
+    bracket = (min(o_axis), max(o_axis))
+    return ([(_map_row, g, o) for g in g_axis for o in o_axis]
+            + [(_boundary_row, g, bracket) for g in g_axis])
+
+
+#: Each row-wise sweep kind: its task values, read from the spec's axes,
+#: and the row of one value under spec s.
+_KINDS = {
+    SweepKind.COUPLING_SWEEP: (_g0_values, lambda s, p, g0: _coupling_row(p, g0, s.cap_fraction)),
+    SweepKind.SIDEBAND_SWEEP: (
+        _omega_values, lambda s, p, w: _sideband_row(p, w, s.mode, s.cap_fraction, 0.0)),
+    SweepKind.SIDEBAND_SWEEP_SQUEEZED: (
+        _omega_values,
+        lambda s, p, w: _sideband_row(p, w, s.mode, s.cap_fraction, s.squeeze_xi or 0.0)),
+    SweepKind.OPTIMAL_POWER_CURVE: (
+        _omega_values, lambda s, p, w: _power_row(p, w, s.mode, s.cap_fraction)),
+    SweepKind.GROUND_STATE_MAP: (_map_values, lambda s, p, task: task[0](s, p, *task[1:])),
+}
+
+
+def _row_worker(args):
+    spec, p, value = args
+    _, row = _KINDS[spec.kind]
+    return row(spec, p, value)
 
 
 def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
@@ -621,29 +631,12 @@ def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
     abort the sweep.
     """
     if spec.kind is SweepKind.DETUNING_PROFILE:
-        ax = _axis(spec, "detuning_hz")
-        deltas = TAU * ax.grid()
-        n_in = equal_drive(p, spec.cap_fraction)
-        target = p.without_kerr() if spec.mode is Mode.LINEAR_COMPARISON else p
+        deltas = TAU * _axis(spec, "detuning_hz").grid()
+        target, n_in = _equal_drive_target(p, spec.mode, spec.cap_fraction)
         return detuning_profile(target, n_in, deltas)
 
-    if spec.kind is SweepKind.COUPLING_SWEEP:
-        values = [TAU * g for g in _axis(spec, "g0_hz").grid()]
-    elif spec.kind in (SweepKind.SIDEBAND_SWEEP, SweepKind.SIDEBAND_SWEEP_SQUEEZED,
-                       SweepKind.OPTIMAL_POWER_CURVE):
-        values = list(_axis(spec, "omega_frac").grid())
-    elif spec.kind is SweepKind.GROUND_STATE_MAP:
-        g_axis = [TAU * g for g in _axis(spec, "g0_hz").grid()]
-        o_axis = list(_axis(spec, "omega_frac").grid())
-        values = [(g, o) for g in g_axis for o in o_axis]
-        # then the one-phonon boundary: per coupling, the crossing
-        # frequency found by Brent's method inside the swept window
-        bracket = (min(o_axis), max(o_axis))
-        values += [("boundary", g, bracket) for g in g_axis]
-    else:
-        raise ConfigError(f"unsupported sweep kind {spec.kind}")
-
-    tasks = [(spec, p, v) for v in values]
+    values, _ = _KINDS[spec.kind]
+    tasks = [(spec, p, v) for v in values(spec)]
     if jobs > 1:
         # one task per message: a map's boundary tasks, queued last, each
         # cost about ten cells, and chunking them together idles workers

@@ -4,9 +4,10 @@ The files under tests/golden/ were written by the code before the rates,
 resolvent and SteadyState constructors were merged into one function each;
 fig6, fig9 and table-values were written again when the 1-D optima became
 roots of exact slopes, which moved their argmin cells toward the 40-digit
-stationary points.  Text cells must match exactly; numeric cells to 1e-10
-relative, which leaves room for last-bit rounding but not for a changed
-formula.
+stationary points.  fig7, fig8 and fig10 were written before the sweep
+kinds and reproduce targets became tables.  Text cells must match exactly;
+numeric cells to 1e-10 relative, which leaves room for last-bit rounding
+but not for a changed formula.
 """
 import csv
 import json
@@ -24,7 +25,10 @@ CASES = [
     ("fig2_points101.csv", ["fig2", "--points", "101"]),
     ("fig4_points41.csv", ["fig4", "--points", "41"]),
     ("fig6_points3.csv", ["fig6", "--points", "3"]),
+    ("fig7_points3.csv", ["fig7", "--points", "3"]),
+    ("fig8_points3.csv", ["fig8", "--points", "3"]),
     ("fig9_points3.csv", ["fig9", "--points", "3"]),
+    ("fig10_points3.csv", ["fig10", "--points", "3"]),
     ("appF_points3.csv", ["appF", "--points", "3"]),
     ("table-values.json", ["table-values", "--format", "json"]),
 ]
@@ -68,3 +72,12 @@ def test_reproduce_matches_golden(name, argv, tmp_path):
     assert [loc for loc, _ in actual] == [loc for loc, _ in expected]
     bad = [(loc, e, a) for (loc, e), (_, a) in zip(expected, actual) if not _same_cell(e, a)]
     assert not bad, f"{len(bad)} cells differ, first: {bad[:3]}"
+
+
+@pytest.mark.parametrize("target", ["fig3", "fig5"])
+def test_profile_targets_are_one_dataset(target, tmp_path):
+    # fig2, fig3 and fig5 plot different columns of one detuning profile
+    outs = {t: tmp_path / f"{t}.csv" for t in ("fig2", target)}
+    for t, out in outs.items():
+        assert run_cli(["reproduce", t, "--points", "101", "--out", str(out)]) == 0
+    assert outs[target].read_bytes() == outs["fig2"].read_bytes()

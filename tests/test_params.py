@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.constants import hbar, k as k_B
 
 import kerrcool as kc
 from kerrcool.errors import ConfigError
@@ -68,6 +71,24 @@ def test_bose_einstein_inverse_pair():
         assert bose_occupation(omega, bath_temperature(omega, n)) == pytest.approx(n, rel=1e-10)
     assert bose_occupation(TAU * 1e6, 0.0) == 0.0
     assert bath_temperature(TAU * 1e6, 0.0) == 0.0
+
+
+def test_bose_occupation_far_below_one_quantum():
+    # x = hbar omega / k_B T: 1 / expm1(x) while expm1 is finite (to about
+    # x = 709.78), then its limit e^-x, which reaches 0
+    omega = TAU * 1e6
+
+    def at(x):
+        temp = hbar * omega / (k_B * x)
+        return bose_occupation(omega, temp), hbar * omega / (k_B * temp)
+    for x in (1e-3, 1.0, 50.0, 700.0, 709.7):
+        n, x = at(x)
+        assert n == 1.0 / math.expm1(x)
+    for x in (709.8, 740.0):
+        n, x = at(x)
+        assert n == math.exp(-x) > 0.0
+    assert at(1e4)[0] == 0.0
+    assert bose_occupation(omega, math.inf) == bose_occupation(0.0, 1.0) == math.inf
 
 
 def test_config_round_trip_bit_exact():

@@ -144,8 +144,10 @@ class TestScalarProbes:
 
     def test_cooperativity_probe_matches_profile(self, defaults, crit_drive):
         for d in np.linspace(-3.0 * defaults.kappa, 0.5 * defaults.kappa, 23):
-            vec = sweeps._cooperativity_profile(defaults, np.array([d]), crit_drive)[0]
-            assert _rel(sweeps._cooperativity_scalar(defaults, d, crit_drive), vec) \
+            # C_eff = Gamma_opt / gamma_m, from the grid column and a point solve
+            g_opt = sweeps._occupation_profile(defaults, np.array([d]), crit_drive)[3][0]
+            (_, got), _ = sweeps._rates_and_slopes(defaults, d, crit_drive, along_flux=False)
+            assert _rel(got / defaults.gamma_m, g_opt / defaults.gamma_m) \
                 <= SCALAR_VECTOR_RTOL
 
 

@@ -189,7 +189,8 @@ class TestSlopeRootOptima:
             g_s, g_as = _mp_rates(defaults, d, _mp_lower_root(defaults, d, crit_drive, start))
             return g_as - g_s
         assert _rel(delta, _mp_stationary(gamma_opt, delta)) <= 1e-12
-        assert c_eff == sweeps._cooperativity_scalar(defaults, delta, crit_drive)
+        (_, g_opt), _ = sweeps._rates_and_slopes(defaults, delta, crit_drive, along_flux=False)
+        assert c_eff == g_opt / defaults.gamma_m
 
     def test_edge_minimum_keeps_grid_point(self, defaults, crit_drive):
         # a window that stops short of the optimum: n_m falls toward its

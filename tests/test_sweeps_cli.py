@@ -55,6 +55,15 @@ class TestDetuningProfile:
         assert len(rows) == 21
         assert any(row["error"] for row in rows)
 
+    def test_zero_drive_skewness_is_typed(self, defaults):
+        # at zero drive every photon spectrum is zero and has no skewness
+        deltas = np.linspace(-2.0, -0.1, 5) * defaults.omega_m
+        with pytest.raises(kc.errors.KerrcoolError, match="zero variance"):
+            sweeps.detuning_profile(defaults, 0.0, deltas, include_skewness=True)
+        rows = sweeps.detuning_profile(defaults, 0.0, deltas, include_skewness=False)
+        assert [row["n_m"] for row in rows] == [defaults.n_th] * 5
+        assert not any(row["error"] for row in rows)
+
 
 class TestOptimizers:
     def test_defaults_optimum(self, defaults, crit_drive):
@@ -229,6 +238,11 @@ class TestRunSweep:
                                          mode=Mode.LINEAR_COMPARISON), p)
         # the linear system needs roughly the Kerr ratio more power
         assert lin[0]["n_in_per_s"] / nl[0]["n_in_per_s"] > 50
+
+    def test_each_row_kind_stated_once(self):
+        # a detuning profile is one array computation; every other kind has
+        # one entry giving its axes and its row
+        assert set(sweeps._KINDS) == set(SweepKind) - {SweepKind.DETUNING_PROFILE}
 
 
 class TestConfigParsing:
@@ -406,6 +420,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("omega_frac")
         assert len(out.splitlines()) == 4
+
+    def test_bath_limits_are_no_traceback(self, tmp_path, capsys):
+        # x = hbar omega / k_B T in the Bose-Einstein occupation: far above
+        # 709 it overflowed expm1 (a 10 nK bath; a sideband sweep raising
+        # omega_m to 10 kappa over a bath of 1e-6 phonons), and x = 0 divided
+        # by zero (an infinite temperature; omega_m = 0)
+        base = "f_m = 0.3e6\ngamma_m = 0.5\nkappa = 3e6\nkerr = 0.16e6\ng0 = 1.7e3\n"
+        cold, hot, dilute = (tmp_path / f"{n}.cfg" for n in ("cold", "hot", "dilute"))
+        cold.write_text(base + "temperature_K = 1e-8\n")
+        hot.write_text(base + "temperature_K = inf\n")
+        dilute.write_text(base + "n_th = 1e-6\n")
+        wide, zero = tmp_path / "wide.spec", tmp_path / "zero.spec"
+        wide.write_text("kind = sideband_sweep\nomega_frac = 0.1, 10, 3\n")
+        zero.write_text("kind = ground_state_map\ng0_hz = 1e4, 2e4, 2\n"
+                        "omega_frac = 0, 0.2, 2\n")
+        for argv in (["steady", "--config", str(cold)],
+                     ["steady", "--config", str(hot)],
+                     ["sweep", str(wide), "--config", str(dilute)],
+                     ["sweep", str(zero)]):
+            assert run_cli(argv) in (0, 2, 3)
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_reproduce_fig4_contains_skewness(self, tmp_path):
         out = tmp_path / "fig4.csv"
