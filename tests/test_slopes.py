@@ -300,3 +300,139 @@ class TestOnePhononBoundary:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if above_one(mid) else (lo, mid)
         assert onset == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# the ranking grids against searches that rank on polished grids
+
+def _polished_profile(p, grid, n_in, xi=0.0):
+    """(n_m, Gamma_opt) on `grid` from the polished `lower_branch_array`,
+    n_m = +inf where infeasible."""
+    n_c = steady.lower_branch_array(p, grid, n_in)
+    g_s, g_opt = cavity.rates(p, grid, n_c)
+    denom = p.gamma_m + g_opt
+    with np.errstate(all="ignore"):
+        n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
+    bad = (denom <= 0.0) | ~np.isfinite(n_m) | (n_m <= 0.0)
+    return np.where(bad, np.inf, n_m), g_opt
+
+
+def _polished_grid_min(vals, grid, value, slope):
+    """The grid search on polished samples: the least sample picks the
+    bracket, and a kept grid point reports its sampled value."""
+    i = int(np.argmin(vals))
+    if not math.isfinite(vals[i]):
+        return math.nan, math.inf
+    a = float(grid[max(0, i - 1)])
+    b = float(grid[min(len(grid) - 1, i + 1)])
+    x = sweeps._bracketed_root(slope, a, b, slope(a), slope(b))
+    fx = math.inf if x is None else value(x)
+    if vals[i] < fx:
+        return float(grid[i]), float(vals[i])
+    return x, float(fx)
+
+
+def _polished_optimal_detuning(p, n_in, xi=0.0, window=None,
+                               grid_points=sweeps.PROFILE_POINTS):
+    grid = np.linspace(*(window or sweeps.detuning_window(p)), grid_points)
+    return _polished_grid_min(_polished_profile(p, grid, n_in, xi)[0], grid,
+                              lambda d: sweeps._occupation_scalar(p, d, n_in, xi),
+                              lambda d: sweeps._occupation_slope(p, d, n_in, xi))
+
+
+def _polished_max_damping(p, n_in):
+    grid = np.linspace(*sweeps.detuning_window(p), sweeps.PROFILE_POINTS)
+
+    def neg_c(x):
+        (_, g), (_, dg) = sweeps._rates_and_slopes(p, x, n_in, along_flux=False)
+        return -g / p.gamma_m, -dg / p.gamma_m
+
+    d, negc = _polished_grid_min(-_polished_profile(p, grid, n_in)[1] / p.gamma_m, grid,
+                                 lambda x: neg_c(x)[0], lambda x: neg_c(x)[1])
+    return d, -negc
+
+
+def _polished_operating_point(p, cap, xi, n_in_bi):
+    """The two-level flux search with polished grids at both levels."""
+    fluxes = np.geomspace(1e-3, cap, sweeps.POWER_GRID_POINTS) * n_in_bi
+    coarse = np.linspace(*sweeps.detuning_window(p), sweeps.PROFILE_POINTS // 8)
+    cell = int(np.argmin([np.min(_polished_profile(p, coarse, f, xi)[0]) for f in fluxes]))
+    optima = {}
+
+    def envelope(flux):
+        if flux not in optima:
+            optima[flux] = _polished_optimal_detuning(p, flux, xi)
+        return optima[flux]
+
+    vals = np.full(len(fluxes), np.inf)
+    for j in range(max(0, cell - 1), min(len(fluxes), cell + 2)):
+        vals[j] = envelope(float(fluxes[j]))[1]
+    n_in, _ = _polished_grid_min(
+        vals, fluxes, lambda f: envelope(f)[1],
+        lambda f: sweeps._occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
+    return envelope(n_in)[0], n_in
+
+
+#: Drive fractions of each system's own bifurcation flux: sub-critical,
+#: 1e-7, 1e-9 and 1e-12 below critical, and exactly critical.
+_RANK_DRIVES = (0.3, 1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12, 1.0)
+#: Seeded systems of the ranking tests: couplings 1.7-50 kHz and
+#: omega_m/kappa 0.02-2 (log-uniform), alternating modes.
+_RANK_SYSTEMS = 10
+_rank_rng = np.random.default_rng(11)
+_RANK_G0_HZ = 10.0 ** _rank_rng.uniform(np.log10(1.7e3), np.log10(50e3), _RANK_SYSTEMS)
+_RANK_OMEGA_FRACS = 10.0 ** _rank_rng.uniform(np.log10(0.02), np.log10(2.0), _RANK_SYSTEMS)
+
+
+def _rank_system(defaults, i):
+    return _system(defaults, _RANK_OMEGA_FRACS[i], bool(i % 2), _RANK_G0_HZ[i])
+
+
+class TestUnpolishedRanking:
+    # the grids only rank; every reported number comes from the scalar
+    # path, so the searches equal their polished-grid twins bit for bit
+
+    @pytest.mark.parametrize("i", range(_RANK_SYSTEMS))
+    def test_optimal_detuning_equals_polished_search(self, defaults, i):
+        p = _rank_system(defaults, i)
+        bi = steady.bifurcation(p)
+        cusp = (1.01 * bi.delta_bi, 0.99 * bi.delta_bi)
+        for k, frac in enumerate(_RANK_DRIVES):
+            n_in = frac * bi.n_in_bi
+            xi = PURITIES[(i + k) % 2]
+            for window, points in ((None, sweeps.PROFILE_POINTS),
+                                   (cusp, (4001, 2000, 301)[(i + k) % 3]),
+                                   (None, sweeps.PROFILE_POINTS // 2)):
+                found = sweeps.optimal_detuning(p, n_in, xi, window=window,
+                                                grid_points=points)
+                assert found == _polished_optimal_detuning(p, n_in, xi, window, points)
+
+    @pytest.mark.parametrize("i", range(_RANK_SYSTEMS))
+    def test_max_damping_equals_polished_search(self, defaults, i):
+        p = _rank_system(defaults, i)
+        for frac in _RANK_DRIVES:
+            n_in = frac * steady.bifurcation(p).n_in_bi
+            assert sweeps.max_damping_point(p, n_in) == _polished_max_damping(p, n_in)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_operating_point_equals_polished_search(self, defaults, i):
+        p = _rank_system(defaults, i)
+        n_in_bi = steady.bifurcation(p).n_in_bi
+        cap, xi = (0.7, CRITICAL_POWER_FRACTION)[i % 2], PURITIES[i // 2 % 2]
+        delta, n_in, _ = sweeps.optimize_operating_point(p, cap, xi, n_in_bi)
+        assert (delta, n_in) == _polished_operating_point(p, cap, xi, n_in_bi)
+
+    def test_edge_minimum_reports_exact_value(self, defaults):
+        # n_th = 0: the flux optimum sits at the lowest flux of the grid, and
+        # there the occupation falls toward the red edge of the detuning
+        # window, so both levels keep a grid point
+        p = sweeps.sideband_variant(defaults.replace(g0=TAU * 15e3), 0.1).replace(n_th=0.0)
+        n_in_bi = steady.bifurcation(p).n_in_bi
+        delta, n_in, _ = sweeps.optimize_operating_point(p)
+        assert (delta, n_in) == _polished_operating_point(
+            p, CRITICAL_POWER_FRACTION, 0.0, n_in_bi)
+        assert n_in == 1e-3 * n_in_bi
+        assert delta == sweeps.detuning_window(p)[0]
+        found = sweeps.optimal_detuning(p, n_in)
+        assert found == _polished_optimal_detuning(p, n_in)
+        assert found == (delta, sweeps._occupation_scalar(p, delta, n_in))
