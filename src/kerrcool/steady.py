@@ -12,16 +12,24 @@ sit a fraction 1e-7 below the bifurcation, where the cubic is nearly
 degenerate and naive root finding loses digits.
 
 The cubic's resolvent pair (L0, L1) lives in `_resolvent`, on floats and
-arrays alike; both root paths and `cubic_discriminant_rel` build on it.
-Two paths share the root recipe.  The vector path (`_closed_form_roots`,
-`_newton_polish`, `lower_branch_array`) serves detuning grids.  The scalar
-path (`_cubic_roots`, `_polish_root`, `lower_root`, `photon_branches`)
-serves point solves and the slope evaluations of the optimizers, in
-plain float/complex arithmetic with an `np.longdouble` polish, at about a
-tenth of the cost of a one-element array.  The two gave bit-identical
-lower roots on 16,800 seeded random and near-cusp points;
-tests/test_scalar_root.py pins their agreement at 1e-12 relative.
-Every `SteadyState` is built by `state_for_root`.
+arrays alike; every root path and `cubic_discriminant_rel` build on it.
+Three paths share the root recipe:
+
+* The ranking grid (`_lower_closed_form`): the vector closed form and its
+  dust filter, unpolished.  It serves grids that only pick a bracket or a
+  cell for the optimizers; none of its roots is reported.  Off the cusp it
+  is within about 1e-13 relative of the polished root.
+* The reported grid (`lower_branch_array`): the ranking grid plus the
+  vector `_newton_polish`; it serves the columns of detuning profiles.
+* The scalar path (`_cubic_roots`, `_polish_root`, `lower_root`,
+  `photon_branches`) serves point solves and every number an optimizer
+  reports, in plain float/complex arithmetic with an `np.longdouble`
+  polish, at about a tenth of the cost of a one-element array.
+
+The two polished paths gave bit-identical lower roots on 16,800 seeded
+random and near-cusp points; tests/test_scalar_root.py pins their
+agreement at 1e-12 relative.  Every `SteadyState` is built by
+`state_for_root`.
 """
 from __future__ import annotations
 
@@ -315,11 +323,9 @@ def photon_branches(p: SystemParams, delta: float, n_in: float):
     return out
 
 
-def lower_branch_array(p: SystemParams, deltas, n_in: float):
-    """Smallest non-negative real root for every detuning in `deltas`.
-
-    Vectorized fast path used by sweeps; agrees with photon_branches.
-    """
+def _lower_closed_form(p: SystemParams, deltas, n_in: float):
+    """Smallest non-negative real closed-form root for every detuning in
+    `deltas`, before the polish: the root that ranks a search grid."""
     deltas = np.asarray(deltas, dtype=float)
     if n_in == 0.0:
         return np.zeros_like(deltas)
@@ -338,7 +344,18 @@ def lower_branch_array(p: SystemParams, deltas, n_in: float):
             roots, np.argmin(np.abs(roots.imag), axis=0)[None, ...], axis=0
         )[0]
         lower = np.where(missed, least.real, lower)
-    lower = _newton_polish(k_eff, deltas, p.kappa, n_in, np.maximum(lower, 0.0))
+    return np.maximum(lower, 0.0)
+
+
+def lower_branch_array(p: SystemParams, deltas, n_in: float):
+    """Smallest non-negative real root for every detuning in `deltas`: the
+    closed form, polished.  Vectorized fast path used by sweeps; agrees
+    with photon_branches."""
+    lower = _lower_closed_form(p, deltas, n_in)
+    k_eff = effective_kerr(p)
+    if n_in == 0.0 or k_eff == 0.0:
+        return lower
+    lower = _newton_polish(k_eff, np.asarray(deltas, dtype=float), p.kappa, n_in, lower)
     return np.maximum(lower, 0.0)
 
 

@@ -101,16 +101,18 @@ class SweepSpec:
 # ----------------------------------------------------------------------
 # vectorized occupation kernel
 
-def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_in: float,
+def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_c: np.ndarray,
                         xi: float = 0.0):
-    """Rate-form occupation along the lower branch, +inf where infeasible."""
-    n_c = steady.lower_branch_array(p, deltas, n_in)
+    """Rate-form occupation on the lower-branch roots `n_c` at `deltas`,
+    +inf where infeasible; returns (n_m, Gamma_S, Gamma_opt).  Reported
+    columns pass the polished `lower_branch_array`, ranking grids the
+    unpolished closed form."""
     g_s, g_opt = cavity.rates(p, deltas, n_c)
     denom = p.gamma_m + g_opt
     with np.errstate(all="ignore"):
         n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
     bad = (denom <= 0.0) | ~np.isfinite(n_m) | (n_m <= 0.0)
-    return np.where(bad, np.inf, n_m), n_c, g_s, g_opt
+    return np.where(bad, np.inf, n_m), g_s, g_opt
 
 
 def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0.0) -> float:
@@ -170,10 +172,11 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
 
 
 def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, value, slope):
-    """Minimum of a function sampled as `vals` on `grid`: the least sample
-    picks the bracket [g[i-1], g[i+1]], and the root of `slope` in it
-    refines the point; without a sign change (an edge minimum), or if the
-    sample is lower than the root's value, the grid point stands.
+    """Minimum of a function sampled as `vals` on `grid`.  The samples only
+    rank: the least one picks the bracket [g[i-1], g[i+1]], and the root of
+    `slope` in it refines the point.  Without a sign change (an edge
+    minimum), or if `value` at the grid point is lower than at the root,
+    the grid point stands, with that exact value, not its sample.
     Returns (x, value)."""
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
@@ -182,8 +185,9 @@ def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, value, slope):
     b = float(grid[min(len(grid) - 1, i + 1)])
     x = _bracketed_root(slope, a, b, slope(a), slope(b))
     fx = math.inf if x is None else value(x)
-    if vals[i] < fx:
-        return float(grid[i]), float(vals[i])
+    at_grid = value(float(grid[i]))
+    if x is None or at_grid < fx:
+        return float(grid[i]), float(at_grid)
     return x, float(fx)
 
 
@@ -198,21 +202,24 @@ def optimal_detuning(p: SystemParams, n_in: float, xi: float = 0.0,
                      window: tuple | None = None,
                      grid_points: int = PROFILE_POINTS):
     """Detuning minimizing the (possibly squeezed) rate-form occupation at
-    fixed drive: the grid picks the bracket, Brent's method finds the root
-    of dn_m/dDelta in it.  Returns (delta, occupation)."""
+    fixed drive.  The grid, on the unpolished closed-form root, only picks
+    the bracket; Brent's method finds the root of dn_m/dDelta in it.  Every
+    returned number comes from the scalar path, the occupation at a kept
+    grid point (an edge minimum) too.  Returns (delta, occupation)."""
     lo, hi = window or detuning_window(p)
     grid = np.linspace(lo, hi, grid_points)
-    return _grid_slope_min(_occupation_profile(p, grid, n_in, xi)[0], grid,
+    n_c = steady._lower_closed_form(p, grid, n_in)
+    return _grid_slope_min(_occupation_profile(p, grid, n_c, xi)[0], grid,
                            lambda d: _occupation_scalar(p, d, n_in, xi),
                            lambda d: _occupation_slope(p, d, n_in, xi))
 
 
 def max_damping_point(p: SystemParams, n_in: float):
     """Detuning maximizing the effective cooperativity C_eff =
-    Gamma_opt / gamma_m at fixed drive, at a root of dC_eff/dDelta; returns
-    (delta, C_eff)."""
+    Gamma_opt / gamma_m at fixed drive, at a root of dC_eff/dDelta; the
+    grid ranks as in `optimal_detuning`.  Returns (delta, C_eff)."""
     grid = np.linspace(*detuning_window(p), PROFILE_POINTS)
-    g_opt = _occupation_profile(p, grid, n_in)[3]
+    g_opt = _occupation_profile(p, grid, steady._lower_closed_form(p, grid, n_in))[2]
 
     def neg_c(x):
         """-C_eff at detuning x, and its slope along the detuning."""
@@ -233,8 +240,8 @@ def optimize_operating_point(p: SystemParams,
     The detuning search one level up: `_grid_slope_min` on the envelope
     F(n_in) = min over Delta of n_m (`optimal_detuning`), sampled on a
     64-point log grid over n_in in [1e-3, cap] * n_in_bi.  A coarse
-    envelope, the least n_m on a `PROFILE_POINTS // 8`-point detuning grid,
-    picks the flux cell; F itself is evaluated only in that cell and its
+    envelope, the least n_m on a `PROFILE_POINTS // 8`-point unpolished
+    detuning grid, picks the flux cell; F itself is evaluated only in that cell and its
     neighbours.  By the envelope theorem F' is dn_m/dn_in at the optimal
     detuning.  At the cap F' < 0 leaves no sign change, so the cap stands
     (a KKT point); an interior optimum is a root of F'.  Returns
@@ -254,8 +261,9 @@ def optimize_operating_point(p: SystemParams,
 
     fluxes = np.geomspace(1e-3, power_cap, POWER_GRID_POINTS) * n_in_bi
     coarse = np.linspace(*detuning_window(p), PROFILE_POINTS // 8)
-    cell = int(np.argmin([np.min(_occupation_profile(p, coarse, f, xi)[0])
-                          for f in fluxes]))
+    cell = int(np.argmin([
+        np.min(_occupation_profile(p, coarse, steady._lower_closed_form(p, coarse, f), xi)[0])
+        for f in fluxes]))
     vals = np.full(len(fluxes), np.inf)
     for j in range(max(0, cell - 1), min(len(fluxes), cell + 2)):
         vals[j] = envelope(float(fluxes[j]))[1]
@@ -352,7 +360,8 @@ def _profile_columns(p: SystemParams, deltas: np.ndarray, n_in: float) -> dict:
     `ok`, false where `_profile_row` must build the row: other than one
     stable real root, a failed anti-Stokes cross-check, or an occupation
     the rate kernel refuses."""
-    n_m, n_c, g_s, g_opt = _occupation_profile(p, deltas, n_in)
+    n_c = steady.lower_branch_array(p, deltas, n_in)
+    n_m, g_s, g_opt = _occupation_profile(p, deltas, n_c)
     lam = p.kerr * n_c
     # the fields `photon_spectrum_values` reads, one array each
     fields = SimpleNamespace(n_c=n_c, delta_tilde=deltas + 2.0 * lam, lambda_abs=lam)
@@ -481,10 +490,11 @@ def _coupling_row(p: SystemParams, g0: float, cap_fraction: float) -> dict:
 
 def _sideband_row(p: SystemParams, omega_frac: float, mode: Mode,
                   cap_fraction: float, xi: float) -> dict:
-    pv = sideband_variant(p, omega_frac)
-    row = {"omega_frac": omega_frac, "omega_m_hz": pv.omega_m / TAU,
-           "n_th": pv.n_th, "error": ""}
+    # the variant's cells stay empty where it is invalid
+    row = {"omega_frac": omega_frac, "omega_m_hz": None, "n_th": None, "error": ""}
     try:
+        pv = sideband_variant(p, omega_frac)
+        row.update({"omega_m_hz": pv.omega_m / TAU, "n_th": pv.n_th})
         target, n_in = _equal_drive_target(pv, mode, cap_fraction)
         delta, n_m = optimal_detuning(target, n_in, xi)
         row.update({"delta_rad_s": delta, "n_m": n_m, "n_in_per_s": n_in})
@@ -506,9 +516,10 @@ def _sideband_row(p: SystemParams, omega_frac: float, mode: Mode,
 
 def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
                cap_fraction: float) -> dict:
-    pv = sideband_variant(p, omega_frac)
-    row = {"omega_frac": omega_frac, "n_th": pv.n_th, "error": ""}
+    row = {"omega_frac": omega_frac, "n_th": None, "error": ""}
     try:
+        pv = sideband_variant(p, omega_frac)
+        row["n_th"] = pv.n_th
         bi_nl = steady.bifurcation(pv)
         if mode is Mode.LINEAR_COMPARISON:
             # power optimized below the mechanical-Kerr bifurcation
@@ -585,11 +596,11 @@ def _axis(spec: SweepSpec, name: str) -> AxisRange:
 
 
 def _g0_values(spec: SweepSpec) -> list:
-    return [TAU * g for g in _axis(spec, "g0_hz").grid()]
+    return [TAU * g for g in _axis(spec, "g0_hz").grid().tolist()]
 
 
 def _omega_values(spec: SweepSpec) -> list:
-    return list(_axis(spec, "omega_frac").grid())
+    return _axis(spec, "omega_frac").grid().tolist()
 
 
 def _map_values(spec: SweepSpec) -> list:

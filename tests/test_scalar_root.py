@@ -120,13 +120,21 @@ class TestScalarRoot:
             assert err <= 4.0 * eps * cond + 2.0 ** -53
 
 
+def _profile_at(p, d, n_in, xi=0.0):
+    """`_occupation_profile` at one detuning on the polished vector root:
+    (n_m, Gamma_S, Gamma_opt)."""
+    deltas = np.array([d])
+    n_c = steady.lower_branch_array(p, deltas, n_in)
+    return [col[0] for col in sweeps._occupation_profile(p, deltas, n_c, xi)]
+
+
 class TestScalarProbes:
     def test_occupation_probe_matches_profile(self, defaults):
         infeasible = 0
         rng = np.random.default_rng(11)
         for p, delta, n_in in _sample_points(defaults, seed=11, count=10):
             for d in (delta, rng.uniform(0.05, 1.0) * p.kappa):
-                vec = sweeps._occupation_profile(p, np.array([d]), n_in)[0][0]
+                vec = _profile_at(p, d, n_in)[0]
                 got = sweeps._occupation_scalar(p, d, n_in)
                 if math.isinf(vec):
                     infeasible += 1
@@ -138,14 +146,14 @@ class TestScalarProbes:
     def test_squeezed_occupation_probe(self, defaults, crit_drive):
         bi = steady.bifurcation(defaults)
         for d in np.linspace(1.2 * bi.delta_bi, 0.8 * bi.delta_bi, 11):
-            vec = sweeps._occupation_profile(defaults, np.array([d]), crit_drive, 0.9)[0][0]
+            vec = _profile_at(defaults, d, crit_drive, 0.9)[0]
             got = sweeps._occupation_scalar(defaults, d, crit_drive, 0.9)
             assert got == vec or _rel(got, vec) <= SCALAR_VECTOR_RTOL
 
     def test_cooperativity_probe_matches_profile(self, defaults, crit_drive):
         for d in np.linspace(-3.0 * defaults.kappa, 0.5 * defaults.kappa, 23):
             # C_eff = Gamma_opt / gamma_m, from the grid column and a point solve
-            g_opt = sweeps._occupation_profile(defaults, np.array([d]), crit_drive)[3][0]
+            g_opt = _profile_at(defaults, d, crit_drive)[2]
             (_, got), _ = sweeps._rates_and_slopes(defaults, d, crit_drive, along_flux=False)
             assert _rel(got / defaults.gamma_m, g_opt / defaults.gamma_m) \
                 <= SCALAR_VECTOR_RTOL

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -420,6 +422,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("omega_frac")
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("kind", ["sideband_sweep", "optimal_power_curve"])
+    def test_invalid_omega_stays_in_its_row(self, tmp_path, capsys, kind):
+        # omega_m = 0 has no sideband variant: that row records the error
+        # and the sweep goes on
+        spec = tmp_path / "sweep.spec"
+        spec.write_text(f"kind = {kind}\nomega_frac = 0, 0.25, 2\n")
+        assert run_cli(["sweep", str(spec)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["omega_frac"] for row in rows] == ["0", "0.25"]
+        assert rows[0]["error"] == "omega_m must be > 0 and finite, got 0.0"
+        assert rows[0]["n_m"] == ""
+        assert rows[1]["error"] == "" and float(rows[1]["n_m"]) > 0.0
+
+    def test_row_errors_show_plain_floats(self, tmp_path, capsys):
+        spec = tmp_path / "map.spec"
+        spec.write_text("kind = ground_state_map\ng0_hz = 1e4, 2e4, 2\n"
+                        "omega_frac = 0, 0.2, 2\n")
+        assert run_cli(["sweep", str(spec)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        failed = [row for row in rows if row["error"]]
+        # both cells at omega_m = 0 and both boundaries, whose bracket starts there
+        assert len(failed) == 4
+        assert all(row["error"].endswith("got 0.0") for row in failed)
 
     def test_bath_limits_are_no_traceback(self, tmp_path, capsys):
         # x = hbar omega / k_B T in the Bose-Einstein occupation: far above
