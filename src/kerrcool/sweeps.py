@@ -241,10 +241,10 @@ def optimize_operating_point(p: SystemParams,
     F(n_in) = min over Delta of n_m (`optimal_detuning`), sampled on a
     64-point log grid over n_in in [1e-3, cap] * n_in_bi.  A coarse
     envelope, the least n_m on a `PROFILE_POINTS // 8`-point unpolished
-    detuning grid, picks the flux cell; F itself is evaluated only in that cell and its
-    neighbours.  By the envelope theorem F' is dn_m/dn_in at the optimal
-    detuning.  At the cap F' < 0 leaves no sign change, so the cap stands
-    (a KKT point); an interior optimum is a root of F'.  Returns
+    detuning grid, picks the flux cell; F itself is evaluated only in that
+    cell and its neighbours.  By the envelope theorem F' is dn_m/dn_in at
+    the optimal detuning.  At the cap F' < 0 leaves no sign change, so the
+    cap stands (a KKT point); an interior optimum is a root of F'.  Returns
     (delta, n_in, CoolingReport), the report under the matched squeezing
     of purity xi that was minimized (`squeezing.matched_report`).
     """
