@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateSpectrumError, InstabilityError,
                      InvariantError)
 from .params import SystemParams
-from .steady import SteadyState, lower_branch_array, lower_root
+from .steady import SteadyState, lower_root
 from . import steady as _steady
 
 
@@ -218,7 +218,8 @@ def exceptional_points(p: SystemParams, n_in: float, bracket=(None, None)):
     lo = bracket[0] if bracket[0] is not None else -10.0 * p.kappa
     hi = bracket[1] if bracket[1] is not None else -1e-6 * p.kappa
     deltas = np.linspace(lo, hi, EP_PROBES)
-    n_c = lower_branch_array(p, deltas, n_in)
+    # the scan only brackets sign changes; the Brent iterates use lower_root
+    n_c = _steady._lower_closed_form(p, deltas, n_in)
 
     out = []
     for mult in (1.0, 3.0):

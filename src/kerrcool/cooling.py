@@ -4,7 +4,8 @@ The cavity enters the mechanical equations through a complex self-energy;
 its real part shifts the mechanical frequency, twice its imaginary part is
 the optical damping.  Occupations are computed three ways: the closed form
 in terms of the effective cooperativity, the rate form from the scattering
-rates, and (in the oracle module) direct quadrature of the noise spectrum.
+rates, and (in the oracle module) the exact stationary covariance of the
+linearized drift matrix.
 """
 from __future__ import annotations
 
@@ -119,8 +120,7 @@ class CoolingReport:
     thermal_share: float      # gamma_m n_th / (gamma_m + Gamma_opt)
     backaction_share: float   # Gamma_S / (gamma_m + Gamma_opt)
     mech_poles: tuple         # (Omega_m+, Omega_m-)
-    n_oracle: float | None = None   # quadrature occupation when requested
-    oracle_err: float | None = None
+    n_oracle: float | None = None   # to_dict key; `cool --oracle` sets it in the payload
 
     def to_dict(self) -> dict:
         return {

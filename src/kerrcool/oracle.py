@@ -3,8 +3,9 @@
 Assembles the full 4x4 linearized dynamical matrix over (d, d+, b, b+),
 solves the frequency-domain response by direct dense inversion at every
 grid point, contracts with the input noise correlators to build spectra
-numerically, and integrates occupations by adaptive quadrature.  Nothing
-here reuses the closed forms it is meant to audit.
+numerically, and takes occupations from the exact stationary covariance
+of the same drift matrix (a Lyapunov solve).  Nothing here reuses the
+closed forms it is meant to audit.
 """
 from __future__ import annotations
 
@@ -13,10 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cavity import Spectrum
-from .errors import ConvergenceError, InstabilityError
+from .errors import InstabilityError
 from .params import SystemParams
 from .squeezing import SqueezeSpec
 from .steady import SteadyState
@@ -84,14 +84,9 @@ def transfer(dm: DynamicalMatrix, omega) -> np.ndarray:
     """Response matrix T(w) = (M + i w I)^(-1) K mapping input noise
     amplitudes to mode amplitudes, batched over a frequency array."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return _solve_response(dm, omega, dm.k.astype(complex))
-
-
-def _solve_response(dm: DynamicalMatrix, omega: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(M + i w I)^(-1) K for each w in `omega`, with K given complex."""
     lhs = dm.m[None, :, :] + 1j * omega[:, None, None] * _IDENT[None, :, :]
     try:
-        return np.linalg.solve(lhs, k)
+        return np.linalg.solve(lhs, dm.k.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise InstabilityError(f"singular response at some frequency: {exc}") from exc
 
@@ -131,45 +126,23 @@ def numeric_spectrum(dm: DynamicalMatrix, correlators: np.ndarray,
 
 
 def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray):
-    """Occupation from adaptive quadrature of the numeric mechanical
-    spectrum; returns (value, error_estimate).
+    """Occupation <b+ b> from the exact stationary covariance; returns
+    (value, error_estimate).
 
-    The integration windows mirror the closed-form quadrature so that any
-    gap against the analytic occupation measures physics approximations
-    rather than integration domains.
+    The covariance Sigma = <A A^T> of d/dt A = M A - K A_in solves the
+    Lyapunov equation M Sigma + Sigma M^T + K C K^T = 0, solved here as
+    one 16x16 system (M (x) I + I (x) M) vec(Sigma) = -vec(K C K^T) with
+    row-major vec.  The error estimate is the relative Frobenius residual
+    of the solved equation times |value|, in phonons.
     """
-    from .cavity import scattering_rates
-    from .cooling import (QUAD_RTOL, QUAD_WINDOW_LINEWIDTHS, cavity_self_energy,
-                          quadrature_segments)
-
     if not dm.is_stable():
         raise InstabilityError("dynamical matrix has an eigenvalue with Re >= 0")
-    p, ss = dm.p, dm.ss
-    width = p.gamma_m + abs(scattering_rates(ss, p).gamma_opt)
-    center = p.omega_m - complex(cavity_self_energy(ss, p, p.omega_m)).real
-
-    # +w and -w solved as one stack, on a complex K built once
-    k = dm.k.astype(complex)
-    signs = np.array([1.0, -1.0])
-
-    def f(w):
-        t_pos, t_neg = _solve_response(dm, signs * w, k)
-        val = np.einsum("i,j,ij->", t_neg[3, :], t_pos[2, :], correlators)
-        return float(val.real)
-
-    total, err = 0.0, 0.0
-    segments, edge = quadrature_segments(center, QUAD_WINDOW_LINEWIDTHS * width)
-    for lo, hi, pts in segments:
-        with np.errstate(all="ignore"):
-            val, e = quad(f, lo, hi, points=pts, limit=400, epsrel=QUAD_RTOL)
-        if not math.isfinite(val):
-            raise ConvergenceError("numeric occupation quadrature diverged")
-        total += val
-        err += e
-    tail = np.geomspace(edge, 20.0 * p.kappa + edge, 200)
-    for sgn in (1.0, -1.0):
-        g = np.sort(sgn * tail)
-        t_pos, t_neg = np.split(transfer(dm, np.concatenate([g, -g])), 2)
-        vals = _contract(t_neg[:, 3, :], t_pos[:, 2, :], correlators).real
-        total += np.trapezoid(vals, g)
-    return total / (2.0 * math.pi), err / (2.0 * math.pi)
+    drive = dm.k @ correlators @ dm.k.T
+    kron_sum = np.kron(dm.m, _IDENT) + np.kron(_IDENT, dm.m)
+    try:
+        sigma = np.linalg.solve(kron_sum, -drive.ravel()).reshape(4, 4)
+    except np.linalg.LinAlgError as exc:
+        raise InstabilityError(f"singular Lyapunov system: {exc}") from exc
+    value = float(sigma[3, 2].real)
+    residual = dm.m @ sigma + sigma @ dm.m.T + drive
+    return value, float(np.linalg.norm(residual) / np.linalg.norm(drive)) * abs(value)

@@ -17,7 +17,8 @@ Three paths share the root recipe:
 
 * The ranking grid (`_lower_closed_form`): the vector closed form and its
   dust filter, unpolished.  It serves grids that only pick a bracket or a
-  cell for the optimizers; none of its roots is reported.  Off the cusp it
+  cell for the optimizers, and the sign-change scan of
+  `cavity.exceptional_points`; none of its roots is reported.  Off the cusp it
   is within about 1e-13 relative of the polished root.
 * The reported grid (`lower_branch_array`): the ranking grid plus the
   vector `_newton_polish`; it serves the columns of detuning profiles.

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import kerrcool as kc
-from kerrcool import oracle
+from kerrcool import oracle, sweeps
+from kerrcool.params import TAU
 from kerrcool.squeezing import SqueezeSpec
 from kerrcool.steady import state_for_root
 
@@ -87,9 +89,8 @@ class TestBuildMatrix:
             [math.sqrt(defaults.kappa)] * 2 + [math.sqrt(defaults.gamma_m)] * 2)
 
     def test_stacked_solves_equal_single_frequencies(self, defaults, optimal_state):
-        # the occupation integrand solves +w and -w as one stack and each
-        # tail as one batch; a stack must give every frequency's response
-        # and contraction bit for bit
+        # numeric_spectrum solves each grid as one stack; a stack must give
+        # every frequency's response and contraction bit for bit
         dm = kc.build_matrix(optimal_state, defaults)
         corr = kc.input_correlators(defaults)
         grid = np.geomspace(1e3, 20.0 * defaults.kappa, 50)
@@ -177,6 +178,8 @@ class TestNumericSpectrum:
         with pytest.raises(kc.errors.InstabilityError):
             kc.numeric_spectrum(dm, kc.input_correlators(defaults), "nn",
                                 np.linspace(-1e6, 1e6, 5))
+        with pytest.raises(kc.errors.InstabilityError):
+            kc.numeric_occupation(dm, kc.input_correlators(defaults))
 
 
 class TestNumericOccupation:
@@ -185,7 +188,7 @@ class TestNumericOccupation:
         ss = kc.steady_at(p, -p.kappa, crit_drive)
         dm = kc.build_matrix(ss, p)
         value, err = kc.numeric_occupation(dm, kc.input_correlators(p))
-        assert value == pytest.approx(p.n_th, rel=1e-4)
+        assert value == pytest.approx(p.n_th, rel=1e-12)
 
     def test_defaults_within_two_percent_of_closed_form(self, defaults, optimal_state):
         rep = kc.occupation(optimal_state, defaults)
@@ -201,3 +204,64 @@ class TestNumericOccupation:
         dm = kc.build_matrix(ss, p)
         value, _ = kc.numeric_occupation(dm, kc.input_correlators(p))
         assert value == pytest.approx(n_m, rel=0.02)
+
+
+def _mp_occupation(dm, corr):
+    """<b+ b> from a 50-digit LU solve of the same 16x16 Lyapunov system
+    (M (x) I + I (x) M) vec(Sigma) = -vec(K C K^T), row-major vec."""
+    with mpmath.workdps(50):
+        m = [[mpmath.mpc(z) for z in row] for row in dm.m]
+        k = [mpmath.mpf(float(x)) for x in np.diag(dm.k)]
+        lhs = mpmath.matrix(16, 16)
+        rhs = mpmath.matrix(16, 1)
+        for i in range(4):
+            for j in range(4):
+                rhs[4 * i + j] = -k[i] * mpmath.mpc(corr[i, j]) * k[j]
+                for n in range(4):
+                    lhs[4 * i + j, 4 * n + j] += m[i][n]
+                    lhs[4 * i + j, 4 * i + n] += m[j][n]
+        sigma = mpmath.lu_solve(lhs, rhs)
+        return float(mpmath.re(sigma[4 * 3 + 2]))
+
+
+def _seeded_case(defaults, seed):
+    """A stable lower-branch point of a seeded system: g0/2pi 1.7-50 kHz,
+    omega_m/kappa 0.05-0.35, detuning -2.5 to -1 kappa, drive 0.05 to
+    1 - 1e-7 of the bifurcation flux."""
+    rng = np.random.default_rng(seed)
+    g0_hz = 10.0 ** rng.uniform(math.log10(1.7e3), math.log10(50e3))
+    p = sweeps.sideband_variant(defaults.replace(g0=TAU * g0_hz), rng.uniform(0.05, 0.35))
+    n_in = rng.uniform(0.05, 1.0 - 1e-7) * kc.bifurcation(p).n_in_bi
+    ss = kc.steady_at(p, -rng.uniform(1.0, 2.5) * p.kappa, n_in)
+    return kc.build_matrix(ss, p), kc.input_correlators(p)
+
+
+class TestLyapunovOccupation:
+    @pytest.mark.parametrize("case", ["optimum", "matched_squeezing", 76, 77])
+    def test_matches_50_digit_solve(self, defaults, optimal_state, case):
+        if case == "optimum":
+            dm, corr = kc.build_matrix(optimal_state, defaults), kc.input_correlators(defaults)
+        elif case == "matched_squeezing":
+            sq = kc.matched_squeeze(optimal_state, defaults, 0.9)
+            dm = kc.build_matrix(optimal_state, defaults)
+            corr = kc.input_correlators(defaults, sq, optimal_state.phi_c)
+        else:
+            dm, corr = _seeded_case(defaults, case)
+        assert dm.is_stable()
+        value, err = kc.numeric_occupation(dm, corr)
+        assert value == pytest.approx(_mp_occupation(dm, corr), rel=1e-12, abs=0.0)
+        assert 0.0 <= err < 1e-12 * value
+
+
+class TestRateFormGap:
+    # the rate form is the weak-coupling limit of the linearized model;
+    # (n_rate - n_exact) / n_exact at the optimal detuning and critical
+    # drive, at the default coupling and at the top of the fig6 axis
+    @pytest.mark.parametrize("g0_hz, gap", [(None, -2.609e-4), (35e3, -1.336e-1)])
+    def test_gap_against_exact_occupation(self, defaults, g0_hz, gap):
+        p = defaults if g0_hz is None else defaults.replace(g0=TAU * g0_hz)
+        n_in = kc.critical_power(p)
+        delta, n_rate = sweeps.optimal_detuning(p, n_in)
+        ss = kc.steady_at(p, delta, n_in)
+        exact, _ = kc.numeric_occupation(kc.build_matrix(ss, p), kc.input_correlators(p))
+        assert (n_rate - exact) / exact == pytest.approx(gap, rel=0.02)
