@@ -89,12 +89,19 @@ def spectrum_denominator(omega, ss: SteadyState, p: SystemParams):
     fields may be floats or arrays; their squares are products, so both
     round alike."""
     omega = np.asarray(omega, dtype=float)
-    dt, lam, w2 = ss.delta_tilde, ss.lambda_abs, omega * omega
-    den = dt * dt - w2 + p.kappa ** 2 / 4.0 - lam * lam
-    # in place, to hold one grid-sized temporary fewer
+    w2 = omega * omega
+    return _quartic(w2, w2 * p.kappa ** 2, ss, p)
+
+
+def _quartic(w2, kw2, ss: SteadyState, p: SystemParams, out=None):
+    """`spectrum_denominator` from w2 = w*w and kw2 = kappa^2 w2, written
+    into the buffer `out` where one is given."""
+    dt, lam = ss.delta_tilde, ss.lambda_abs
+    den = np.subtract(dt * dt, w2, out=out)
+    den += p.kappa ** 2 / 4.0
+    den -= lam * lam
     den *= den
-    w2 *= p.kappa ** 2
-    den += w2
+    den += kw2
     return den
 
 
@@ -116,22 +123,33 @@ def photon_spectrum_values(omega, ss: SteadyState, p: SystemParams):
     rounds some squares differently from an array's product.
     """
     omega = np.asarray(omega, dtype=float)
-    num = -ss.delta_tilde + omega + ss.lambda_abs
-    # in place, to hold one grid-sized temporary fewer
+    return _spectrum_over(omega, spectrum_denominator(omega, ss, p), ss, p)
+
+
+def _spectrum_over(omega, den, ss: SteadyState, p: SystemParams, out=None):
+    """`photon_spectrum_values` given its denominator `den`, which is
+    divided out in place, written into the buffer `out` where one is
+    given."""
+    num = np.add(-ss.delta_tilde, omega, out=out)
+    num += ss.lambda_abs
     num *= num
     num += p.kappa ** 2 / 4.0
     num *= ss.n_c * p.kappa
-    num /= spectrum_denominator(omega, ss, p)
+    num /= den
     return num
 
 
-def photon_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
-    """Evaluate S_nn on a grid, rejecting dynamically unstable points."""
+def _require_stable(ss: SteadyState, p: SystemParams):
     if not is_parametrically_stable(ss, p):
         raise InstabilityError(
             "parametric instability: |Lambda|^2 > Delta~^2 + kappa^2/4; "
             "spectrum poles cross into the upper half plane"
         )
+
+
+def photon_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
+    """Evaluate S_nn on a grid, rejecting dynamically unstable points."""
+    _require_stable(ss, p)
     grid = np.asarray(grid, dtype=float)
     return Spectrum(grid=grid, values=photon_spectrum_values(grid, ss, p),
                     meta={"kind": "photon_number", "n_c": ss.n_c,
@@ -251,9 +269,15 @@ def skewness(spec: Spectrum) -> float:
     sum((x - mu)^3) / (n sigma^3) over x = values.  The moments are
     products of the deviations, which round as `x.std()` does and spare
     the third power its `pow` call."""
-    x = spec.values
-    dev = x - x.mean()
-    pw = dev * dev
+    return _skewness(spec.values)
+
+
+def _skewness(x, dev=None, pw=None) -> float:
+    """`skewness` of the values x, with the deviations and their powers
+    written into the buffers `dev` (which may be x itself) and `pw` where
+    they are given."""
+    dev = np.subtract(x, x.mean(), out=dev)
+    pw = np.multiply(dev, dev, out=pw)
     sigma = math.sqrt(np.mean(pw))
     if sigma == 0.0:
         raise DegenerateSpectrumError("degenerate spectrum: zero variance")
@@ -273,15 +297,36 @@ def skewness_grid(p: SystemParams) -> np.ndarray:
     return np.linspace(-span, span, SKEWNESS_POINTS)
 
 
+class SkewnessWorkspace:
+    """The skewness of many states on the `skewness_grid` of p, each equal
+    bit for bit to skewness(photon_spectrum(ss, p, grid)), in grid-sized
+    buffers allocated once: w^2 and kappa^2 w^2 of the grid, the spectrum
+    and its moments.  A state allocates nothing grid-sized, which the heap
+    would hand back to the system and page in again for the next one.
+    The spectrum reads kappa alone of p, so the states of p.without_kerr()
+    share the workspace of p."""
+
+    def __init__(self, p: SystemParams):
+        self.p = p
+        self.grid = skewness_grid(p)
+        self._w2 = self.grid * self.grid
+        self._kw2 = self._w2 * p.kappa ** 2
+        self._values = np.empty_like(self.grid)
+        self._moments = np.empty_like(self.grid)
+
+    def skewness(self, ss: SteadyState) -> float:
+        _require_stable(ss, self.p)
+        den = _quartic(self._w2, self._kw2, ss, self.p, out=self._moments)
+        x = _spectrum_over(self.grid, den, ss, self.p, out=self._values)
+        return _skewness(x, dev=x, pw=den)
+
+
 def effective_skewness(p: SystemParams, n_in: float, delta: float) -> float:
     """Spectrum skewness relative to the linear-cavity (K = 0) baseline
     computed on the identical grid at the same drive and detuning."""
-    grid = skewness_grid(p)
-    ss = _steady.steady_at(p, delta, n_in)
-    g1 = skewness(photon_spectrum(ss, p, grid))
-    ss0 = _steady.steady_at(p.without_kerr(), delta, n_in)
-    g1_lin = skewness(photon_spectrum(ss0, p.without_kerr(), grid))
-    return g1 - g1_lin
+    skew = SkewnessWorkspace(p)
+    return (skew.skewness(_steady.steady_at(p, delta, n_in))
+            - skew.skewness(_steady.steady_at(p.without_kerr(), delta, n_in)))
 
 
 def _rate_parts(p: SystemParams, delta, n_c):

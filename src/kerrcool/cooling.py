@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cavity import RateReport, Spectrum, scattering_rates
 from .errors import InstabilityError
@@ -223,6 +222,9 @@ def integrate_mech_spectrum(ss: SteadyState, p: SystemParams):
     """Occupation from adaptive quadrature of the closed-form mechanical
     noise spectrum over both resonant lines plus a coarse tail scan.
     Returns (value, error_estimate)."""
+    # the one scipy import of the package: no other path pays its start-up
+    from scipy.integrate import quad
+
     values, rates, sigma = _mech_spectrum_evaluator(ss, p)
     width = p.gamma_m + abs(rates.gamma_opt)
     center = p.omega_m - sigma.real

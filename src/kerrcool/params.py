@@ -10,11 +10,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar, k as k_B
-
 from .errors import ConfigError
 
 TAU = 2.0 * math.pi
+
+#: Exact SI values (2019 redefinition), bit-equal to `scipy.constants.hbar`
+#: and `scipy.constants.k`; scipy is not imported for two numbers.
+hbar = 6.62607015e-34 / TAU
+k_B = 1.380649e-23
 
 CONFIG_KEYS = ("f_m", "gamma_m", "kappa", "kerr", "g0", "n_th")
 

@@ -24,14 +24,13 @@ axes and its row.  The reproduce targets fig2, fig3 and fig5 are one
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import cavity, cooling, squeezing, steady
 from .errors import ConfigError, ConvergenceError, KerrcoolError
@@ -152,23 +151,66 @@ def _occupation_slope(p: SystemParams, delta: float, n_in: float, xi: float = 0.
 # 1-D searches: a bracket from a coarse grid or from end values, then
 # Brent's method on a root of an exact derivative
 
-#: Relative tolerance of every bracketed root: brentq's floor of 4 eps.
+#: Relative tolerance of every bracketed root: 4 eps, the least that
+#: scipy's `brentq` accepts; `_brent` transcribes its C code.
 ROOT_RTOL = 4.0 * np.finfo(float).eps
+#: Iteration cap of every bracketed root (`brentq`'s default maxiter).
+ROOT_MAXITER = 100
+
+
+def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float):
+    """Root of f in [xa, xb] by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973), transcribed from scipy's `Zeros/brentq.c`:
+    the same xblk/spre/scur bookkeeping, the tolerance delta = (xtol +
+    rtol |x|)/2 and the cap of `ROOT_MAXITER` iterations, so the iterates
+    and the root are those of `scipy.optimize.brentq`.  fa = f(xa) and
+    fb = f(xb) are nonzero and of opposite signs.  Returns (root,
+    iterations); a NaN function value or the cap raises ConvergenceError."""
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, ROOT_MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ConvergenceError(
+                f"Brent root in [{xa!r}, {xb!r}]: the function is nan at {xcur!r}")
+    raise ConvergenceError(
+        f"Brent root in [{xa!r}, {xb!r}] did not converge in {ROOT_MAXITER} iterations")
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
-    """Root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b),
-    which are not evaluated again; None unless fa and fb differ in sign."""
+    """Root of f in [a, b] by Brent's method, in `_brent`'s transcription
+    of scipy's `brentq`, given fa = f(a) and fb = f(b), which are not
+    evaluated again; None unless fa and fb differ in sign."""
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b
     if not (fa < 0.0 < fb or fb < 0.0 < fa):   # same sign, or nan
         return None
-    x, info = brentq(lambda x: fa if x == a else fb if x == b else f(x), a, b,
-                     xtol=1e-15 * max(abs(a), abs(b)), rtol=ROOT_RTOL,
-                     full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(f"Brent root in [{a!r}, {b!r}] did not converge: {info.flag}")
-    return x
+    return _brent(f, a, b, fa, fb, 1e-15 * max(abs(a), abs(b)), ROOT_RTOL)[0]
 
 
 def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, value, slope):
@@ -310,12 +352,26 @@ def _map_occupation(p: SystemParams, omega_frac: float, mode: Mode,
 # ----------------------------------------------------------------------
 # sweep kinds
 
-def _profile_row(p: SystemParams, p_lin: SystemParams, d: float, n_in: float,
-                 grid, g1_lin, linear_reference: bool) -> dict:
-    """One `detuning_profile` row from the scalar point solves, with every
-    guard and error text in place; `grid` is None without skewness."""
-    row = {"detuning_rad_s": float(d), "error": ""}
+@contextlib.contextmanager
+def _recorded(row: dict):
+    """Record a failure inside the block in row["error"]: a KerrcoolError
+    by its message, any other exception, a defect rather than a guard, as
+    `internal: <Type>: <message>`.  One bad row never aborts a sweep."""
     try:
+        yield
+    except KerrcoolError as exc:
+        row["error"] = str(exc)
+    except Exception as exc:
+        row["error"] = f"internal: {type(exc).__name__}: {exc}"
+
+
+def _profile_row(p: SystemParams, p_lin: SystemParams, d: float, n_in: float,
+                 skew, g1_lin, linear_reference: bool) -> dict:
+    """One `detuning_profile` row from the scalar point solves, with every
+    guard and error text in place; `skew`, the `cavity.SkewnessWorkspace`
+    of p, is None without skewness."""
+    row = {"detuning_rad_s": float(d), "error": ""}
+    with _recorded(row):
         roots = steady.photon_branches(p, d, n_in)
         row["n_roots"] = len(roots)
         row["n_c_lower"] = roots[0][0]
@@ -337,8 +393,8 @@ def _profile_row(p: SystemParams, p_lin: SystemParams, d: float, n_in: float,
         except KerrcoolError as exc:
             row["n_m"] = math.nan
             row["error"] = str(exc)
-        if grid is not None:
-            g1 = cavity.skewness(cavity.photon_spectrum(ss, p, grid))
+        if skew is not None:
+            g1 = skew.skewness(ss)
             row["skewness"] = g1
             row["skewness_effective"] = g1 - g1_lin
         if linear_reference:
@@ -349,8 +405,6 @@ def _profile_row(p: SystemParams, p_lin: SystemParams, d: float, n_in: float,
                 row["n_m_linear"] = cooling.occupation(ss_lin, p_lin).n_rate
             except KerrcoolError:
                 row["n_m_linear"] = math.nan
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     return row
 
 
@@ -387,7 +441,8 @@ def detuning_profile(p: SystemParams, n_in: float, deltas,
     Array-native: one `lower_branch_array` solve per system (the full one
     and, for the linear reference, `without_kerr`), then poles, rates and
     occupations as one array expression each.  The skewness takes one
-    20,001-point spectrum per row.  Rows that trip a guard the arrays do
+    20,001-point spectrum per row, in one `cavity.SkewnessWorkspace` that
+    every row of the call reuses.  Rows that trip a guard the arrays do
     not carry (more than one real root, a failed anti-Stokes cross-check,
     a parametric instability) are built by `_profile_row`, the scalar row
     code and the one home of those error texts; anti-damped rows take
@@ -395,14 +450,14 @@ def detuning_profile(p: SystemParams, n_in: float, deltas,
     """
     deltas = np.asarray(deltas, dtype=float)
     p_lin = p.without_kerr()
-    grid = g1_lin = None
+    skew = g1_lin = None
     if include_skewness:
-        grid = cavity.skewness_grid(p)
-        base_ss = steady.steady_at(p_lin, float(deltas[len(deltas) // 2]), n_in)
-        g1_lin = cavity.skewness(cavity.photon_spectrum(base_ss, p_lin, grid))
+        skew = cavity.SkewnessWorkspace(p)
+        g1_lin = skew.skewness(
+            steady.steady_at(p_lin, float(deltas[len(deltas) // 2]), n_in))
 
     def scalar_row(d):
-        return _profile_row(p, p_lin, d, n_in, grid, g1_lin, linear_reference)
+        return _profile_row(p, p_lin, d, n_in, skew, g1_lin, linear_reference)
 
     try:
         OperatingPoint(0.0, n_in)
@@ -436,10 +491,10 @@ def detuning_profile(p: SystemParams, n_in: float, deltas,
                 cooling.check_net_damping(p, g_opt)
             except KerrcoolError as exc:
                 row["error"] = str(exc)
-        if grid is not None:
+        if skew is not None:
             ss = steady.state_for_root(p, d, n_in, n_c, steady.Branch.MONOSTABLE)
             try:
-                g1 = cavity.skewness(cavity.photon_spectrum(ss, p, grid))
+                g1 = skew.skewness(ss)
             except KerrcoolError:
                 rows.append(scalar_row(d))
                 continue
@@ -455,11 +510,11 @@ def _coupling_row(p: SystemParams, g0: float, cap_fraction: float) -> dict:
     """One coupling-strength point: occupation at the max-damping detuning
     of the capped drive, the full two-axis optimizer result, and the
     equal-power linear comparison."""
-    pg = p.replace(g0=g0)
-    bi = steady.bifurcation(pg)
-    n_in = cap_fraction * bi.n_in_bi
-    row = {"g0_hz": g0 / TAU, "n_in_crit_per_s": n_in, "error": ""}
-    try:
+    row = {"g0_hz": g0 / TAU, "n_in_crit_per_s": None, "error": ""}
+    with _recorded(row):
+        pg = p.replace(g0=g0)
+        bi = steady.bifurcation(pg)
+        n_in = row["n_in_crit_per_s"] = cap_fraction * bi.n_in_bi
         d_damp, c_max = max_damping_point(pg, n_in)
         ss = steady.steady_at(pg, d_damp, n_in)
         rep = cooling.occupation(ss, pg)
@@ -483,8 +538,6 @@ def _coupling_row(p: SystemParams, g0: float, cap_fraction: float) -> dict:
             "c_eff_linear": cavity.scattering_rates(ss_lin, pl).c_eff,
             "n_in_bi_linear_per_s": steady.bifurcation(pl).n_in_bi,
         })
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     return row
 
 
@@ -492,7 +545,7 @@ def _sideband_row(p: SystemParams, omega_frac: float, mode: Mode,
                   cap_fraction: float, xi: float) -> dict:
     # the variant's cells stay empty where it is invalid
     row = {"omega_frac": omega_frac, "omega_m_hz": None, "n_th": None, "error": ""}
-    try:
+    with _recorded(row):
         pv = sideband_variant(p, omega_frac)
         row.update({"omega_m_hz": pv.omega_m / TAU, "n_th": pv.n_th})
         target, n_in = _equal_drive_target(pv, mode, cap_fraction)
@@ -509,15 +562,13 @@ def _sideband_row(p: SystemParams, omega_frac: float, mode: Mode,
         row["n_ba_min"] = n_ba_min
         if xi > 0.0:
             row["n_ba_min_squeezed"] = (1.0 - xi) * n_ba_min
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     return row
 
 
 def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
                cap_fraction: float) -> dict:
     row = {"omega_frac": omega_frac, "n_th": None, "error": ""}
-    try:
+    with _recorded(row):
         pv = sideband_variant(p, omega_frac)
         row["n_th"] = pv.n_th
         bi_nl = steady.bifurcation(pv)
@@ -534,33 +585,26 @@ def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
             own_bi = nl_bi = cap_fraction
         row.update({"n_in_per_s": n_in, "n_in_over_own_bi": own_bi, "n_in_over_nl_bi": nl_bi,
                     "delta_rad_s": delta, "n_m": n_m, "converged": True})
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     return row
 
 
 def _map_row(spec: SweepSpec, p: SystemParams, g0: float, omega_frac: float) -> dict:
-    pg = p.replace(g0=g0)
     row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / p.kappa,
            "omega_frac": omega_frac, "error": ""}
-    try:
-        n_m = _map_occupation(pg, omega_frac, spec.mode, spec.cap_fraction,
+    with _recorded(row):
+        n_m = _map_occupation(p.replace(g0=g0), omega_frac, spec.mode, spec.cap_fraction,
                               spec.squeeze_xi or 0.0)
         row["n_m"] = n_m
         row["ground_state"] = bool(n_m < 1.0)
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     return row
 
 
 def _boundary_row(spec: SweepSpec, p: SystemParams, g0: float, omega_bracket: tuple) -> dict:
     row = {"kind": "boundary", "g0_hz": g0 / TAU,
            "g0_over_kappa": g0 / p.kappa, "error": ""}
-    try:
+    with _recorded(row):
         row["omega_frac"] = ground_state_onset_omega(
             p, g0, spec.mode, spec.cap_fraction, spec.squeeze_xi or 0.0, bracket=omega_bracket)
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     return row
 
 
@@ -649,6 +693,9 @@ def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
     values, _ = _KINDS[spec.kind]
     tasks = [(spec, p, v) for v in values(spec)]
     if jobs > 1:
+        # imported here: a serial sweep never starts a process
+        from concurrent.futures import ProcessPoolExecutor
+
         # one task per message: a map's boundary tasks, queued last, each
         # cost about ten cells, and chunking them together idles workers
         with ProcessPoolExecutor(max_workers=jobs) as pool:

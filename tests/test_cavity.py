@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import kerrcool as kc
-from kerrcool.cavity import (PoleRegion, Spectrum, photon_spectrum_values,
-                             skewness_grid, spectrum_denominator)
-from kerrcool.errors import InstabilityError
+from kerrcool import sweeps
+from kerrcool.cavity import (PoleRegion, SkewnessWorkspace, Spectrum,
+                             photon_spectrum_values, skewness_grid, spectrum_denominator)
+from kerrcool.errors import DegenerateSpectrumError, InstabilityError
 from kerrcool.params import TAU
 from kerrcool.steady import Branch, state_for_root
 
@@ -202,6 +203,41 @@ class TestSkewness:
             m3 = mpmath.fsum((v - mu) ** 3 for v in x) / len(x)
             exact = m3 / m2 ** mpmath.mpf(1.5)
         assert kc.skewness(spec) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_workspace_equals_spectrum_skewness(self, defaults, seed):
+        # one workspace reused over seeded states of a system and of its
+        # linear twin, as a detuning profile reuses it over its rows
+        rng = np.random.default_rng(20 + seed)
+        p = sweeps.sideband_variant(defaults.replace(g0=TAU * rng.uniform(1.7e3, 35e3)),
+                                    rng.uniform(0.02, 0.5))
+        skew = SkewnessWorkspace(p)
+        grid = skewness_grid(p)
+        for _ in range(8):
+            q = p.without_kerr() if rng.random() < 0.3 else p
+            n_in = rng.uniform(1e-3, 1.0) * kc.critical_power(p)
+            ss = kc.steady_at(q, -rng.uniform(0.01, 12.0) * p.omega_m, n_in)
+            want = kc.skewness(kc.photon_spectrum(ss, q, grid))
+            assert skew.skewness(ss).hex() == want.hex()
+
+    def test_workspace_guards_keep_their_texts(self, defaults, crit_drive):
+        skew = SkewnessWorkspace(defaults)
+        grid = skewness_grid(defaults)
+        bi = kc.bifurcation(defaults)
+        roots = kc.photon_branches(defaults, -1.4 * defaults.kappa, 2.0 * bi.n_in_bi)
+        middle = state_for_root(defaults, -1.4 * defaults.kappa, 2.0 * bi.n_in_bi,
+                                roots[1][0])
+        undriven = kc.steady_at(defaults, -defaults.omega_m, 0.0)
+        for ss, error in ((middle, InstabilityError), (undriven, DegenerateSpectrumError)):
+            with pytest.raises(error) as want:
+                kc.skewness(kc.photon_spectrum(ss, defaults, grid))
+            with pytest.raises(error) as got:
+                skew.skewness(ss)
+            assert str(got.value) == str(want.value)
+        # a failed row leaves nothing behind for the next
+        ss = kc.steady_at(defaults, -2.0 * defaults.omega_m, crit_drive)
+        want = kc.skewness(kc.photon_spectrum(ss, defaults, grid))
+        assert skew.skewness(ss).hex() == want.hex()
 
 
 class TestScatteringRates:

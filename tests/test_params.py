@@ -6,11 +6,18 @@ from scipy.constants import hbar, k as k_B
 
 import kerrcool as kc
 from kerrcool.errors import ConfigError
+from kerrcool import params
 from kerrcool.params import TAU, bose_occupation, bath_temperature
 
 
 BASE_DOC = {"f_m": 0.3e6, "gamma_m": 0.5, "kappa": 3e6, "kerr": 0.16e6,
             "g0": 1.7e3, "n_th": 2778}
+
+
+def test_si_constants_equal_scipy():
+    # written out so that importing kerrcool does not import scipy
+    assert params.hbar.hex() == hbar.hex()
+    assert params.k_B.hex() == k_B.hex()
 
 
 def test_config_converts_cyclic_to_angular():

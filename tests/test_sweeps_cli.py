@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,6 +244,25 @@ class TestRunSweep:
         # the linear system needs roughly the Kerr ratio more power
         assert lin[0]["n_in_per_s"] / nl[0]["n_in_per_s"] > 50
 
+    @pytest.mark.parametrize("kind,axes,broken", [
+        (SweepKind.COUPLING_SWEEP, {"g0_hz": (1e3, 2e3)}, "max_damping_point"),
+        (SweepKind.SIDEBAND_SWEEP, {"omega_frac": (0.1, 0.2)}, "optimal_detuning"),
+        (SweepKind.OPTIMAL_POWER_CURVE, {"omega_frac": (0.1, 0.2)}, "optimal_detuning"),
+        (SweepKind.GROUND_STATE_MAP, {"g0_hz": (1e4, 2e4), "omega_frac": (0.1, 0.2)},
+         "_map_occupation"),
+    ])
+    def test_internal_error_stays_in_its_row(self, defaults, monkeypatch, kind, axes, broken):
+        # a defect (no KerrcoolError) inside a row is recorded there, typed,
+        # and the sweep goes on
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sweeps, broken, fail)
+        spec = SweepSpec(kind, {name: AxisRange(*ends, 2) for name, ends in axes.items()})
+        rows = sweeps.run_sweep(spec, defaults)
+        assert len(rows) == (6 if kind is SweepKind.GROUND_STATE_MAP else 2)
+        assert all(row["error"] == "internal: RuntimeError: boom" for row in rows)
+
     def test_each_row_kind_stated_once(self):
         # a detuning profile is one array computation; every other kind has
         # one entry giving its axes and its row
@@ -467,6 +489,25 @@ class TestCli:
                      ["sweep", str(zero)]):
             assert run_cli(argv) in (0, 2, 3)
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        # the package and a reproduce target start on numpy alone; scipy is
+        # imported only by `integrate_mech_spectrum`, a process pool only
+        # by a parallel sweep
+        out = tmp_path / "table-values.json"
+        script = (
+            "import json, sys\n"
+            "import kerrcool, kerrcool.cli\n"
+            f"code = kerrcool.cli.run_cli(['reproduce', 'table-values', '--out', {str(out)!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy'\n"
+            "    or m.startswith('scipy.') or m == 'concurrent.futures.process')]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        assert json.loads(out.read_text())
 
     def test_reproduce_fig4_contains_skewness(self, tmp_path):
         out = tmp_path / "fig4.csv"
