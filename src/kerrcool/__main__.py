@@ -1,0 +1,5 @@
+"""`python -m kerrcool ...` runs the command line without an install."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -75,19 +75,21 @@ def check_net_damping(p: SystemParams, gamma_opt: float):
 
 
 def _mech_spectrum_evaluator(ss: SteadyState, p: SystemParams):
-    """Closure evaluating the weak-coupling mechanical spectrum on arrays."""
+    """Closure evaluating the weak-coupling mechanical spectrum on a float
+    array or on one plain float.  Every constant it closes over is a Python
+    float or complex, so a float argument (as quadrature passes) runs as
+    plain Python arithmetic and returns a float; an array runs in numpy."""
     rates = scattering_rates(ss, p)
     check_net_damping(p, rates.gamma_opt)
     sigma = complex(cavity_self_energy(ss, p, p.omega_m))
-    pole_plus, pole_minus = mechanical_poles(ss, p)
+    pole_plus, pole_minus = map(complex, mechanical_poles(ss, p))
 
     def values(grid):
-        grid = np.asarray(grid, dtype=float)
-        pole_factor = np.abs((grid - pole_plus) * (grid - pole_minus)) ** 2
+        pole_factor = abs((grid - pole_plus) * (grid - pole_minus)) ** 2
         chi_star_inv_neg = p.gamma_m / 2.0 - 1j * (grid + p.omega_m)  # chi_m^{*-1}[-w]
-        thermal = p.gamma_m * np.abs(chi_star_inv_neg + 1j * sigma) ** 2 * p.n_th
+        thermal = p.gamma_m * abs(chi_star_inv_neg + 1j * sigma) ** 2 * p.n_th
         squeeze = p.gamma_m * abs(sigma) ** 2 * (p.n_th + 1.0)
-        backaction = np.abs(chi_star_inv_neg) ** 2 * rates.gamma_stokes
+        backaction = abs(chi_star_inv_neg) ** 2 * rates.gamma_stokes
         return (thermal + squeeze + backaction) / pole_factor
 
     return values, rates, sigma
@@ -229,13 +231,10 @@ def integrate_mech_spectrum(ss: SteadyState, p: SystemParams):
     width = p.gamma_m + abs(rates.gamma_opt)
     center = p.omega_m - sigma.real
 
-    def f(w):
-        return float(values(w))
-
     total, err = 0.0, 0.0
     segments, edge = quadrature_segments(center, QUAD_WINDOW_LINEWIDTHS * width)
     for lo, hi, pts in segments:
-        val, e = quad(f, lo, hi, points=pts, limit=400, epsrel=QUAD_RTOL)
+        val, e = quad(values, lo, hi, points=pts, limit=400, epsrel=QUAD_RTOL)
         total += val
         err += e
     # coarse tails out to +-20 kappa: the spectrum decays like 1/w^2 there

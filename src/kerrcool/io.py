@@ -1,11 +1,9 @@
 """Config parsing and deterministic CSV/JSON output."""
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
-from io import StringIO
 from pathlib import Path
 
 from .errors import ConfigError
@@ -52,24 +50,45 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _quote(text: str) -> str:
+    """One CSV field: quoted, inner quotes doubled, when it holds a comma,
+    a quote, a newline or a carriage return."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def rows_to_csv(rows: list) -> str:
     """Render dict rows as CSV (first line header).
 
     The columns are the union of keys in first-appearance order.  Cells
-    holding a comma, quote or line break are quoted, as is the lone empty
-    cell of a one-column row; all others are written bare.
+    holding a comma, a quote, a newline or a carriage return are quoted, as
+    is the lone empty cell of a one-column row; all others are written bare.
+    The text is built column by column: a column whose cells are all floats
+    (np.float64 included) enters each line through one "%.12g" field of a
+    line format, which prints nan and +-inf as `_format_cell` does and
+    never a character that needs quoting; any other column is formatted
+    cell by cell into a "%s" field.
     """
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(col)) for col in columns])
-    return buf.getvalue()
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    if not columns:
+        return "\n" * (len(rows) + 1)
+    formats, cells = [], []
+    for col in columns:
+        column = [row.get(col) for row in rows]
+        if all(issubclass(t, float) for t in set(map(type, column))):
+            formats.append(FLOAT_FORMAT)
+        else:
+            formats.append("%s")
+            column = [_quote(_format_cell(value)) for value in column]
+        cells.append(column)
+    lines = list(map(",".join(formats).__mod__, zip(*cells)))
+    lines.insert(0, ",".join(_quote(str(col)) for col in columns))
+    if len(columns) == 1:
+        # an empty line would read as no row at all
+        lines = [line or '""' for line in lines]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _json_default(value):

@@ -22,6 +22,9 @@ from .squeezing import SqueezeSpec
 from .steady import SteadyState
 
 _IDENT = np.eye(4, dtype=complex)
+#: The index permutation P of (d, d+, b, b+) that swaps each mode with its
+#: adjoint: (d, d+, b, b+) -> (d+, d, b+, b).
+_ADJOINT = [1, 0, 3, 2]
 
 
 @dataclass(frozen=True)
@@ -103,21 +106,30 @@ def numeric_spectrum(dm: DynamicalMatrix, correlators: np.ndarray,
 
     pair selects the observable: "nn" photon number, "ff" radiation
     pressure force, "bb" mechanical occupation spectrum.
+
+    The response is solved once, at +w.  The drift matrix pairs every
+    mode with its adjoint, M = P conj(M) P with P the permutation
+    (d, d+, b, b+) -> (d+, d, b+, b), and K is real, diagonal and
+    unchanged by P, so T(-w) = (M - i w I)^(-1) K = P conj(T(w)) P: row
+    i of T(-w) is the conjugate of row P(i) of T(w) with its columns
+    permuted by P.  Only the rows the contraction needs are formed.
     """
     if not dm.is_stable():
         raise InstabilityError("dynamical matrix has an eigenvalue with Re >= 0")
     grid = np.asarray(grid, dtype=float)
     t_pos = transfer(dm, grid)
-    t_neg = transfer(dm, -grid)
     if pair in ("nn", "ff"):
         ph = cmath.exp(-1j * dm.ss.phi_c)
         w_pos = ph * t_pos[:, 0, :] + np.conj(ph) * t_pos[:, 1, :]
-        w_neg = ph * t_neg[:, 0, :] + np.conj(ph) * t_neg[:, 1, :]
+        # ph T(-w)[0] + conj(ph) T(-w)[1] = conj(conj(ph) T(w)[1] + ph T(w)[0]) P
+        w_neg = np.conj(w_pos[:, _ADJOINT])
         values = dm.ss.n_c * _contract(w_pos, w_neg, correlators)
         if pair == "ff":
             values = dm.p.g0 ** 2 * values
     elif pair == "bb":
-        values = _contract(t_neg[:, 3, :], t_pos[:, 2, :], correlators)
+        row_b = t_pos[:, 2, :]
+        # T(-w)[3] = conj(T(w)[2]) P
+        values = _contract(np.conj(row_b[:, _ADJOINT]), row_b, correlators)
     else:
         raise ValueError(f"unknown spectrum pair {pair!r}")
     values = np.real_if_close(values, tol=1e6)

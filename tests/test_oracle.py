@@ -104,6 +104,15 @@ class TestBuildMatrix:
             batched = oracle._contract(rows[1][:, 3, :], rows[0][:, 2, :], corr)[n]
             assert single == batched
 
+    def test_adjoint_symmetry_is_exact(self, defaults):
+        # M = P conj(M) P bit for bit, P swapping (d, d+) and (b, b+): the
+        # identity numeric_spectrum takes T(-w) from
+        adj = [1, 0, 3, 2]
+        for dm, _ in _symmetry_cases(defaults):
+            assert np.array_equal(dm.m, np.conj(dm.m)[np.ix_(adj, adj)])
+            assert np.array_equal(dm.k, dm.k[np.ix_(adj, adj)])
+            assert np.isrealobj(dm.k)
+
     def test_eigenvalues_match_spectrum_poles_at_zero_coupling(self, defaults, crit_drive):
         p = defaults.replace(g0=0.0)
         rng = np.random.default_rng(72)
@@ -149,6 +158,27 @@ class TestNumericSpectrum:
             num = kc.numeric_spectrum(dm, corr, "ff", grid)
             closed = kc.squeezed_force_spectrum(ss, p, sq, grid)
             assert np.max(np.abs(num.values - closed) / np.abs(closed)) < 1e-8
+
+    def test_one_solve_equals_two_solve_twin(self, defaults):
+        # one transfer solve at +w and its adjoint image give the spectra of
+        # separate solves at +w and -w
+        checked = 0
+        for n, (dm, corr) in enumerate(_symmetry_cases(defaults)):
+            if not dm.is_stable():
+                continue
+            p, ss = dm.p, dm.ss
+            lines = np.linspace(p.omega_m - 0.1 * p.kappa, p.omega_m + 0.1 * p.kappa, 201)
+            grid = np.unique(np.concatenate(
+                [np.linspace(-4 * p.kappa, 4 * p.kappa, 401), lines, -lines]))
+            sq = SqueezeSpec.from_n_s(0.9, 10 ** (n % 3 - 1), 0.3 * n)
+            cases = (("nn", corr), ("bb", corr),
+                     ("ff", kc.input_correlators(p, sq, ss.phi_c)))
+            for pair, c in cases:
+                got = kc.numeric_spectrum(dm, c, pair, grid).values
+                twin = _two_solve_spectrum(dm, c, pair, grid)
+                assert np.max(np.abs(got - twin)) <= 1e-12 * np.max(np.abs(twin))
+            checked += 1
+        assert checked >= 8
 
     def test_decoupled_mech_spectrum_is_thermal(self, defaults, crit_drive):
         p = defaults.without_kerr().replace(g0=0.0)
@@ -234,6 +264,39 @@ def _seeded_case(defaults, seed):
     n_in = rng.uniform(0.05, 1.0 - 1e-7) * kc.bifurcation(p).n_in_bi
     ss = kc.steady_at(p, -rng.uniform(1.0, 2.5) * p.kappa, n_in)
     return kc.build_matrix(ss, p), kc.input_correlators(p)
+
+
+def _symmetry_cases(defaults):
+    """(drift matrix, correlators) of seeded systems: lower-branch points up
+    to 1 - 1e-7 of the bifurcation flux, and the lower and upper roots of
+    bistable points at twice the bifurcation flux."""
+    cases = [_seeded_case(defaults, seed) for seed in range(80, 88)]
+    rng = np.random.default_rng(88)
+    while len(cases) < 16:
+        p = defaults.replace(g0=TAU * 10.0 ** rng.uniform(3.2, 4.7))
+        delta = -rng.uniform(1.25, 1.55) * p.kappa
+        n_in = 2.0 * kc.bifurcation(p).n_in_bi
+        roots = kc.photon_branches(p, delta, n_in)
+        if len(roots) == 3:
+            for n_c, _ in (roots[0], roots[2]):
+                cases.append((kc.build_matrix(state_for_root(p, delta, n_in, n_c), p),
+                              kc.input_correlators(p)))
+    return cases
+
+
+def _two_solve_spectrum(dm, corr, pair, grid):
+    """numeric_spectrum with separate response solves at +w and -w."""
+    t_pos, t_neg = oracle.transfer(dm, grid), oracle.transfer(dm, -grid)
+    if pair == "bb":
+        values = oracle._contract(t_neg[:, 3, :], t_pos[:, 2, :], corr)
+    else:
+        ph = np.exp(-1j * dm.ss.phi_c)
+        w_pos = ph * t_pos[:, 0, :] + np.conj(ph) * t_pos[:, 1, :]
+        w_neg = ph * t_neg[:, 0, :] + np.conj(ph) * t_neg[:, 1, :]
+        values = dm.ss.n_c * oracle._contract(w_pos, w_neg, corr)
+        if pair == "ff":
+            values = dm.p.g0 ** 2 * values
+    return np.real(values)
 
 
 class TestLyapunovOccupation:

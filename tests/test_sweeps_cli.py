@@ -509,6 +509,21 @@ class TestCli:
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
         assert json.loads(out.read_text())
 
+    def test_module_entry_point_runs_without_scipy(self):
+        # `python -m kerrcool` runs from a checkout with PYTHONPATH=src;
+        # -X importtime lists every module the run imports
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kerrcool", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: kerrcool ")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "kerrcool.cli" in imported
+        assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
+
     def test_reproduce_fig4_contains_skewness(self, tmp_path):
         out = tmp_path / "fig4.csv"
         assert run_cli(["reproduce", "fig4", "--points", "41",
