@@ -56,7 +56,6 @@ class PoleStructure:
     radicand: float       # (Delta + 3|Lambda|)(Delta + |Lambda|)
     decay_extremum_residual: float  # relative residual of n_c/Delta = -2/(3K)
     at_decay_extremum: bool
-    ep_detunings: tuple | None = None
 
 
 @dataclass(frozen=True)

@@ -103,15 +103,14 @@ def _cmd_spectrum(args) -> int:
         sq = _squeeze_from_args(ss, p, args)
         spec = cavity.Spectrum(grid=grid,
                                values=squeezing.squeezed_force_spectrum(ss, p, sq, grid))
-    rows = [{"omega_rad_s": w, f"s_{args.kind}": v}
-            for w, v in zip(spec.grid, spec.values)]
+    columns = {"omega_rad_s": spec.grid, f"s_{args.kind}": spec.values}
     if args.oracle:
         sq = _squeeze_from_args(ss, p, args) if args.kind == "ff" else None
         dm = oracle.build_matrix(ss, p)
         corr = oracle.input_correlators(p, sq, ss.phi_c)
-        num = oracle.numeric_spectrum(dm, corr, args.kind, grid)
-        for row, v in zip(rows, num.values):
-            row["oracle"] = v
+        columns["oracle"] = oracle.numeric_spectrum(dm, corr, args.kind, grid).values
+    rows = [dict(zip(columns, cells))
+            for cells in zip(*(c.tolist() for c in columns.values()))]
     _emit_rows(rows, args)
     return 0
 
@@ -242,7 +241,7 @@ def spec_from_document(doc: dict) -> SweepSpec:
 def _cmd_sweep(args) -> int:
     p = _load_params(args)
     spec = spec_from_document(io.read_config_file(args.specfile))
-    rows = sweeps.run_sweep(spec, p, jobs=args.jobs)
+    rows = sweeps.run_sweep(spec, p)
     _emit_rows(rows, args)
     return 0
 
@@ -250,7 +249,7 @@ def _cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 # reproduction harness
 
-def _profile_target(skew: bool, p: SystemParams, jobs: int, points: int | None):
+def _profile_target(skew: bool, p: SystemParams, points: int | None):
     """The detuning profile at equal drive: fig2, fig3 and fig5 plot columns
     of one dataset, and fig4 trades its linear reference for the skewness
     columns."""
@@ -261,38 +260,37 @@ def _profile_target(skew: bool, p: SystemParams, jobs: int, points: int | None):
                                    include_skewness=skew, linear_reference=not skew)
 
 
-def _coupling_target(p: SystemParams, jobs: int, points: int | None):
+def _coupling_target(p: SystemParams, points: int | None):
     spec = SweepSpec(SweepKind.COUPLING_SWEEP,
                      {"g0_hz": AxisRange(1.7e3, 35e3, points or sweeps.OUTER_AXIS_POINTS)})
-    return sweeps.run_sweep(spec, p, jobs)
+    return sweeps.run_sweep(spec, p)
 
 
 def _two_mode_target(kind: SweepKind, hi: float, xi_nl, xi_lin,
-                     p: SystemParams, jobs: int, points: int | None):
+                     p: SystemParams, points: int | None):
     """Both modes at g0/2pi = 15 kHz on a log axis of omega_m/kappa from
     0.02 to hi; xi_nl and xi_lin are the squeezing of each mode's run."""
     ax = {"omega_frac": AxisRange(0.02, hi, points or sweeps.OUTER_AXIS_POINTS, "log")}
     p15 = p.replace(g0=TAU * 15e3)
-    nl = sweeps.run_sweep(SweepSpec(kind, ax, Mode.NONLINEAR, squeeze_xi=xi_nl), p15, jobs)
-    lin = sweeps.run_sweep(SweepSpec(kind, ax, Mode.LINEAR_COMPARISON, squeeze_xi=xi_lin),
-                           p15, jobs)
+    nl = sweeps.run_sweep(SweepSpec(kind, ax, Mode.NONLINEAR, squeeze_xi=xi_nl), p15)
+    lin = sweeps.run_sweep(SweepSpec(kind, ax, Mode.LINEAR_COMPARISON, squeeze_xi=xi_lin), p15)
     # one row per omega_frac, the linear run's columns prefixed
     return [dict(a, **{f"linear_{col}": v for col, v in b.items() if col != "omega_frac"})
             for a, b in zip(nl, lin)]
 
 
-def _map_target(p: SystemParams, jobs: int, points: int | None):
+def _map_target(p: SystemParams, points: int | None):
     m = points or sweeps.MAP_POINTS
     axes = {"g0_hz": AxisRange(2e3, 5e4, m, "log"),
             "omega_frac": AxisRange(0.05, 0.35, m)}
     rows = []
     for mode in (Mode.NONLINEAR, Mode.LINEAR_COMPARISON):
         spec = SweepSpec(SweepKind.GROUND_STATE_MAP, axes, mode)
-        rows += [dict(row, mode=mode.value) for row in sweeps.run_sweep(spec, p, jobs)]
+        rows += [dict(row, mode=mode.value) for row in sweeps.run_sweep(spec, p)]
     return rows
 
 
-def _table_values(p: SystemParams, jobs: int, points: int | None):
+def _table_values(p: SystemParams, points: int | None):
     n_in = sweeps.equal_drive(p, CRITICAL_POWER_FRACTION)
     _, c_nl = sweeps.max_damping_point(p, n_in)
     d_nl, nm_nl = sweeps.optimal_detuning(p, n_in)
@@ -310,7 +308,7 @@ def _table_values(p: SystemParams, jobs: int, points: int | None):
 
 _profile = functools.partial(_profile_target, False)
 
-#: Every reproduce target: its dataset as f(p, jobs, points), a list of
+#: Every reproduce target: its dataset as f(p, points), a list of
 #: rows or one JSON object.  fig2, fig3 and fig5 are one dataset.
 _REPRODUCE = {
     "fig2": _profile, "fig3": _profile,
@@ -330,7 +328,7 @@ REPRODUCE_TARGETS = tuple(_REPRODUCE)
 
 def _cmd_reproduce(args) -> int:
     p = _load_params(args)
-    result = _REPRODUCE[args.target](p, args.jobs, args.points)
+    result = _REPRODUCE[args.target](p, args.points)
     if isinstance(result, dict):
         io.emit(io.to_json(result), args.out)
     else:
@@ -354,10 +352,12 @@ def _bounded(convert, lo, hi=math.inf):
     return parse
 
 
-#: A grid size, a worker count, and a squeezing purity.
+#: A grid size, a `--jobs` value (accepted, unused), a squeezing purity,
+#: and a spectrum half span, whose grid width 4 pi span must stay finite.
 _grid_points = _bounded(int, 2)
 _jobs = _bounded(int, 1)
 _purity = _bounded(float, 0.0, 1.0)
+_span_hz = _bounded(float, 0.0, sys.float_info.max / (2.0 * TAU))
 
 
 def _add_common(sub):
@@ -366,7 +366,9 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--oracle", action="store_true",
                      help="attach brute-force cross-checks")
-    sub.add_argument("--jobs", type=_jobs, default=1)
+    sub.add_argument("--jobs", type=_jobs, default=1,
+                     help="accepted for compatibility: sweeps run serially and"
+                          " the value has no effect")
 
 
 def _add_point(sub):
@@ -397,7 +399,9 @@ def build_parser() -> _Parser:
     _add_common(s); _add_point(s)
     s.add_argument("--kind", choices=("nn", "ff", "bb"), default="nn")
     s.add_argument("--points", type=_grid_points, default=2001)
-    s.add_argument("--omega-span-hz", type=float, default=None)
+    s.add_argument("--omega-span-hz", type=_span_hz, default=None,
+                   help="half span of the frequency grid in cyclic Hz"
+                        " (default, or 0: 10 kappa)")
     s.add_argument("--xi", type=_purity, default=None)
     s.add_argument("--n-s", type=float, default=None)
     s.add_argument("--squeeze-db", type=float, default=None)

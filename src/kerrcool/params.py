@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
@@ -64,12 +64,8 @@ class SystemParams:
             )
 
     def replace(self, **kw) -> "SystemParams":
-        fields = dict(
-            omega_m=self.omega_m, gamma_m=self.gamma_m, kappa=self.kappa,
-            kerr=self.kerr, g0=self.g0, n_th=self.n_th,
-        )
-        fields.update(kw)
-        return SystemParams(**fields)
+        """Copy with the given fields changed, validated again."""
+        return replace(self, **kw)
 
     def without_kerr(self) -> "SystemParams":
         """Identical system with the intrinsic Kerr switched off."""

@@ -109,8 +109,7 @@ class SqueezeSpec:
         return cls(xi=0.0, n_s=0.0, m_s=0.0, phase=0.0, r=0.0, db=0.0)
 
     def with_phase(self, phase: float) -> "SqueezeSpec":
-        return SqueezeSpec(xi=self.xi, n_s=self.n_s, m_s=self.m_s, phase=phase,
-                           r=self.r, db=self.db)
+        return replace(self, phase=phase)
 
     def to_dict(self) -> dict:
         return {"xi": self.xi, "n_s": self.n_s, "m_s": self.m_s,

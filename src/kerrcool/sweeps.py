@@ -18,8 +18,8 @@ Each of these choices is made in one place.  `_equal_drive_target` gives
 the system and drive of every equal-drive comparison (sideband rows, map
 cells, boundary probes, the detuning-profile sweep).  A ground-state map
 cell and a probe of its one-phonon boundary are one function,
-`_map_occupation`.  Each row-wise sweep kind is one entry of `_KINDS`: its
-axes and its row.  The reproduce targets fig2, fig3 and fig5 are one
+`_map_occupation`.  Each sweep kind is one entry of `_KINDS`: its rows
+from the spec's axes.  The reproduce targets fig2, fig3 and fig5 are one
 `detuning_profile` dataset.
 """
 from __future__ import annotations
@@ -526,7 +526,7 @@ def _coupling_row(p: SystemParams, g0: float, cap_fraction: float) -> dict:
         row.update({
             "delta_opt_rad_s": d_opt, "n_in_opt_per_s": n_in_opt,
             "n_in_opt_fraction": n_in_opt / bi.n_in_bi,
-            "n_m_opt": rep_opt.n_rate, "converged": True,
+            "n_m_opt": rep_opt.n_rate,
         })
         # linear cavity at the same (optimal) drive
         pl = pg.without_kerr()
@@ -584,7 +584,7 @@ def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
             delta, n_m = optimal_detuning(pv, n_in)
             own_bi = nl_bi = cap_fraction
         row.update({"n_in_per_s": n_in, "n_in_over_own_bi": own_bi, "n_in_over_nl_bi": nl_bi,
-                    "delta_rad_s": delta, "n_m": n_m, "converged": True})
+                    "delta_rad_s": delta, "n_m": n_m})
     return row
 
 
@@ -647,57 +647,42 @@ def _omega_values(spec: SweepSpec) -> list:
     return _axis(spec, "omega_frac").grid().tolist()
 
 
-def _map_values(spec: SweepSpec) -> list:
+def _profile_rows(spec: SweepSpec, p: SystemParams) -> list:
+    deltas = TAU * _axis(spec, "detuning_hz").grid()
+    target, n_in = _equal_drive_target(p, spec.mode, spec.cap_fraction)
+    return detuning_profile(target, n_in, deltas)
+
+
+def _map_rows(spec: SweepSpec, p: SystemParams) -> list:
     """The (g0, omega_frac) cells, then per coupling the one-phonon
-    boundary, found by Brent's method inside the swept window; each task
-    names its row function."""
+    boundary, found by Brent's method inside the swept window."""
     g_axis = _g0_values(spec)
     o_axis = _omega_values(spec)
     bracket = (min(o_axis), max(o_axis))
-    return ([(_map_row, g, o) for g in g_axis for o in o_axis]
-            + [(_boundary_row, g, bracket) for g in g_axis])
+    return ([_map_row(spec, p, g, o) for g in g_axis for o in o_axis]
+            + [_boundary_row(spec, p, g, bracket) for g in g_axis])
 
 
-#: Each row-wise sweep kind: its task values, read from the spec's axes,
-#: and the row of one value under spec s.
+#: Each sweep kind: its rows under spec s, in input order.
 _KINDS = {
-    SweepKind.COUPLING_SWEEP: (_g0_values, lambda s, p, g0: _coupling_row(p, g0, s.cap_fraction)),
-    SweepKind.SIDEBAND_SWEEP: (
-        _omega_values, lambda s, p, w: _sideband_row(p, w, s.mode, s.cap_fraction, 0.0)),
-    SweepKind.SIDEBAND_SWEEP_SQUEEZED: (
-        _omega_values,
-        lambda s, p, w: _sideband_row(p, w, s.mode, s.cap_fraction, s.squeeze_xi or 0.0)),
-    SweepKind.OPTIMAL_POWER_CURVE: (
-        _omega_values, lambda s, p, w: _power_row(p, w, s.mode, s.cap_fraction)),
-    SweepKind.GROUND_STATE_MAP: (_map_values, lambda s, p, task: task[0](s, p, *task[1:])),
+    SweepKind.DETUNING_PROFILE: _profile_rows,
+    SweepKind.COUPLING_SWEEP: lambda s, p: [
+        _coupling_row(p, g0, s.cap_fraction) for g0 in _g0_values(s)],
+    SweepKind.SIDEBAND_SWEEP: lambda s, p: [
+        _sideband_row(p, w, s.mode, s.cap_fraction, 0.0) for w in _omega_values(s)],
+    SweepKind.SIDEBAND_SWEEP_SQUEEZED: lambda s, p: [
+        _sideband_row(p, w, s.mode, s.cap_fraction, s.squeeze_xi or 0.0)
+        for w in _omega_values(s)],
+    SweepKind.OPTIMAL_POWER_CURVE: lambda s, p: [
+        _power_row(p, w, s.mode, s.cap_fraction) for w in _omega_values(s)],
+    SweepKind.GROUND_STATE_MAP: _map_rows,
 }
 
 
-def _row_worker(args):
-    spec, p, value = args
-    _, row = _KINDS[spec.kind]
-    return row(spec, p, value)
-
-
-def run_sweep(spec: SweepSpec, p: SystemParams, jobs: int = 1) -> list:
+def run_sweep(spec: SweepSpec, p: SystemParams) -> list:
     """Execute a sweep; returns rows in deterministic input order.
 
     Per-row failures are recorded in the row's error column and do not
     abort the sweep.
     """
-    if spec.kind is SweepKind.DETUNING_PROFILE:
-        deltas = TAU * _axis(spec, "detuning_hz").grid()
-        target, n_in = _equal_drive_target(p, spec.mode, spec.cap_fraction)
-        return detuning_profile(target, n_in, deltas)
-
-    values, _ = _KINDS[spec.kind]
-    tasks = [(spec, p, v) for v in values(spec)]
-    if jobs > 1:
-        # imported here: a serial sweep never starts a process
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one task per message: a map's boundary tasks, queued last, each
-        # cost about ten cells, and chunking them together idles workers
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_row_worker, tasks))
-    return [_row_worker(t) for t in tasks]
+    return _KINDS[spec.kind](spec, p)

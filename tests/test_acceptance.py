@@ -11,12 +11,10 @@ import pytest
 
 import kerrcool as kc
 from kerrcool import sweeps
-from kerrcool.io import rows_to_csv
 from kerrcool.params import TAU
 from kerrcool.squeezing import SqueezeSpec, squeezed_rates
 from kerrcool.steady import cubic_discriminant_rel
-from kerrcool.sweeps import (AxisRange, Mode, SweepKind, SweepSpec,
-                             max_damping_point, optimal_detuning)
+from kerrcool.sweeps import Mode, max_damping_point, optimal_detuning
 
 S3 = math.sqrt(3.0)
 
@@ -278,13 +276,7 @@ def test_c11_property_suite(p, crit):
     sigma = complex(kc.cavity_self_energy(ep, p, p.omega_m))
     ok_ep = sigma == 0.0 and kc.scattering_rates(ep, p).gamma_opt == 0.0
 
-    spec = SweepSpec(SweepKind.SIDEBAND_SWEEP, {"omega_frac": AxisRange(0.08, 0.3, 6)})
-    p15 = p.replace(g0=TAU * 15e3)
-    ok_det = rows_to_csv(sweeps.run_sweep(spec, p15, jobs=1)) == \
-        rows_to_csv(sweeps.run_sweep(spec, p15, jobs=2))
-
     report("11 property suite",
-           ok_sign and ok_identity and ok_equiv and ok_ep and ok_det,
+           ok_sign and ok_identity and ok_equiv and ok_ep,
            f"sign law {ok_sign}, damping identity {ok_identity}, "
-           f"occupation equivalence {ok_equiv}, evasion point {ok_ep}, "
-           f"parallel determinism {ok_det}")
+           f"occupation equivalence {ok_equiv}, evasion point {ok_ep}")

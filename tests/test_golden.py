@@ -5,7 +5,9 @@ resolvent and SteadyState constructors were merged into one function each;
 fig6, fig9 and table-values were written again when the 1-D optima became
 roots of exact slopes, which moved their argmin cells toward the 40-digit
 stationary points.  fig7, fig8 and fig10 were written before the sweep
-kinds and reproduce targets became tables.  Text cells must match exactly;
+kinds and reproduce targets became tables; fig6 and fig8 were written
+again when their constant `converged` columns were dropped, every other
+cell unchanged.  Text cells must match exactly;
 numeric cells to 1e-10 relative, which leaves room for last-bit rounding
 but not for a changed formula.
 """

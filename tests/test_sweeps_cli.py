@@ -11,7 +11,7 @@ import pytest
 import kerrcool as kc
 from kerrcool import sweeps
 from kerrcool.cli import run_cli, spec_from_document
-from kerrcool.io import read_key_value_text, rows_to_csv
+from kerrcool.io import read_key_value_text
 from kerrcool.params import TAU
 from kerrcool.sweeps import (AxisRange, Mode, SweepKind, SweepSpec,
                              max_damping_point, optimize_operating_point,
@@ -219,20 +219,12 @@ class TestRunSweep:
                 assert not row["ground_state"]
 
     def test_parallel_rows_identical(self, defaults):
-        spec = SweepSpec(SweepKind.SIDEBAND_SWEEP,
-                         {"omega_frac": AxisRange(0.08, 0.3, 6)},
-                         squeeze_xi=None)
-        p = defaults.replace(g0=TAU * 15e3)
-        serial = sweeps.run_sweep(spec, p, jobs=1)
-        parallel = sweeps.run_sweep(spec, p, jobs=2)
-        assert rows_to_csv(serial) == rows_to_csv(parallel)
-        # a map queues its boundary rows after the cells
+        # a map puts its boundary rows after the cells
         spec = SweepSpec(SweepKind.GROUND_STATE_MAP,
                          {"g0_hz": AxisRange(10e3, 30e3, 2),
                           "omega_frac": AxisRange(0.15, 0.25, 2)})
-        serial = sweeps.run_sweep(spec, defaults, jobs=1)
-        assert [row["kind"] for row in serial] == ["map"] * 4 + ["boundary"] * 2
-        assert rows_to_csv(serial) == rows_to_csv(sweeps.run_sweep(spec, defaults, jobs=2))
+        rows = sweeps.run_sweep(spec, defaults)
+        assert [row["kind"] for row in rows] == ["map"] * 4 + ["boundary"] * 2
 
     def test_optimal_power_curve_modes(self, defaults):
         p = defaults.replace(g0=TAU * 15e3)
@@ -264,9 +256,9 @@ class TestRunSweep:
         assert all(row["error"] == "internal: RuntimeError: boom" for row in rows)
 
     def test_each_row_kind_stated_once(self):
-        # a detuning profile is one array computation; every other kind has
-        # one entry giving its axes and its row
-        assert set(sweeps._KINDS) == set(SweepKind) - {SweepKind.DETUNING_PROFILE}
+        # every sweep kind, the detuning profile too, is one entry giving
+        # its rows
+        assert set(sweeps._KINDS) == set(SweepKind)
 
 
 class TestConfigParsing:
@@ -306,7 +298,8 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--xi" in captured.err and "Traceback" not in captured.err
-        # grid sizes below two and worker counts below one, on every target
+        # grid sizes below two, worker counts below one, on every target, and
+        # spectrum spans that are negative, not finite or overflow the grid
         for argv, flag in ((["reproduce", "fig7", "--points", "0"], "--points"),
                            (["reproduce", "fig7", "--points", "1"], "--points"),
                            (["reproduce", "fig2", "--points", "-3"], "--points"),
@@ -314,7 +307,11 @@ class TestCli:
                            (["reproduce", "table-values", "--jobs", "0"], "--jobs"),
                            (["reproduce", "fig6", "--jobs", "-5"], "--jobs"),
                            (["sweep", "spec.cfg", "--jobs", "0"], "--jobs"),
-                           (["steady", "--jobs", "x"], "--jobs")):
+                           (["steady", "--jobs", "x"], "--jobs"),
+                           (["spectrum", "--omega-span-hz", "-1"], "--omega-span-hz"),
+                           (["spectrum", "--omega-span-hz", "nan"], "--omega-span-hz"),
+                           (["spectrum", "--omega-span-hz", "inf"], "--omega-span-hz"),
+                           (["spectrum", "--omega-span-hz", "1e308"], "--omega-span-hz")):
             assert run_cli(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -491,14 +488,16 @@ class TestCli:
             assert "Traceback" not in capsys.readouterr().err
 
     def test_commands_load_no_scipy(self, tmp_path):
-        # the package and a reproduce target start on numpy alone; scipy is
-        # imported only by `integrate_mech_spectrum`, a process pool only
-        # by a parallel sweep
-        out = tmp_path / "table-values.json"
+        # the package and the reproduce targets start on numpy alone; scipy
+        # is imported only by `integrate_mech_spectrum`, and no sweep starts
+        # a process pool, whatever --jobs says
+        out, fig6 = tmp_path / "table-values.json", tmp_path / "fig6.csv"
         script = (
             "import json, sys\n"
             "import kerrcool, kerrcool.cli\n"
             f"code = kerrcool.cli.run_cli(['reproduce', 'table-values', '--out', {str(out)!r}])\n"
+            "code += kerrcool.cli.run_cli(['reproduce', 'fig6', '--points', '3', '--jobs', '2',\n"
+            f"    '--out', {str(fig6)!r}])\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy'\n"
             "    or m.startswith('scipy.') or m == 'concurrent.futures.process')]))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
@@ -508,6 +507,7 @@ class TestCli:
                               text=True, timeout=120, check=True)
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
         assert json.loads(out.read_text())
+        assert fig6.read_text().startswith("g0_hz,")
 
     def test_module_entry_point_runs_without_scipy(self):
         # `python -m kerrcool` runs from a checkout with PYTHONPATH=src;
