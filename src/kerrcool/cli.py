@@ -87,8 +87,14 @@ def _cmd_steady(args) -> int:
 
 
 def _spectrum_grid(p: SystemParams, args) -> np.ndarray:
+    """The angular frequency grid; a span too small for `--points` to
+    resolve into a strictly increasing grid is a usage error."""
     span = args.omega_span_hz if args.omega_span_hz else 10.0 * p.kappa / TAU
-    return np.linspace(-TAU * span, TAU * span, args.points)
+    grid = np.linspace(-TAU * span, TAU * span, args.points)
+    if not (grid[1:] > grid[:-1]).all():
+        build_parser().error(f"argument --omega-span-hz: {span!r} Hz is too small"
+                             f" for a strictly increasing grid of {args.points} points")
+    return grid
 
 
 def _cmd_spectrum(args) -> int:
@@ -364,11 +370,14 @@ def _add_common(sub):
     sub.add_argument("--config", help="key-value parameter file (cyclic Hz)")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--oracle", action="store_true",
-                     help="attach brute-force cross-checks")
     sub.add_argument("--jobs", type=_jobs, default=1,
                      help="accepted for compatibility: sweeps run serially and"
                           " the value has no effect")
+
+
+def _add_oracle(sub):
+    sub.add_argument("--oracle", action="store_true",
+                     help="attach brute-force cross-checks")
 
 
 def _add_point(sub):
@@ -396,7 +405,7 @@ def build_parser() -> _Parser:
     s.set_defaults(func=_cmd_steady)
 
     s = subs.add_parser("spectrum", help="photon / force / mechanical spectrum to CSV")
-    _add_common(s); _add_point(s)
+    _add_common(s); _add_point(s); _add_oracle(s)
     s.add_argument("--kind", choices=("nn", "ff", "bb"), default="nn")
     s.add_argument("--points", type=_grid_points, default=2001)
     s.add_argument("--omega-span-hz", type=_span_hz, default=None,
@@ -412,7 +421,7 @@ def build_parser() -> _Parser:
     s.set_defaults(func=_cmd_poles)
 
     s = subs.add_parser("cool", help="cooling report at an operating point")
-    _add_common(s); _add_point(s)
+    _add_common(s); _add_point(s); _add_oracle(s)
     s.set_defaults(func=_cmd_cool)
 
     s = subs.add_parser("squeeze", help="matched squeezed drive and suppressed backaction")

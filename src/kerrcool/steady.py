@@ -5,32 +5,39 @@ The intracavity photon number obeys the cubic
     n_c [ (Delta + K_eff n_c)^2 + (kappa/2)^2 ] = kappa n_in,
 
 where K_eff adds the static optomechanical back-shift (the "mechanical
-Kerr") to the intrinsic Kerr constant.  Roots are computed from the
-explicit closed forms of the depressed cubic in complex arithmetic and
-polished with Newton steps in extended precision: the interesting drives
-sit a fraction 1e-7 below the bifurcation, where the cubic is nearly
-degenerate and naive root finding loses digits.
+Kerr") to the intrinsic Kerr constant.  Roots are computed in real
+arithmetic from the depressed cubic and polished with Newton steps in
+extended precision: the interesting drives sit a fraction 1e-7 below the
+bifurcation, where the cubic is nearly degenerate and naive root finding
+loses digits.
 
-The cubic's resolvent pair (L0, L1) lives in `_resolvent`, on floats and
-arrays alike; every root path and `cubic_discriminant_rel` build on it.
-Three paths share the root recipe:
+`_resolvent` gives the resolvent pair (L0, L1) and the discriminant
+D = L0^3 + L1^2, on floats and arrays alike.  With n = (t - 2 Delta) /
+(3 K_eff) the cubic reads t^3 + 3 L0 t + 2 L1 = 0, so the sign of D names
+the real roots: where D > 0 the one real root is Cardano's
+t = L0/sigma - sigma, sigma = cbrt(L1 + sign(L1) sqrt(D)), which does not
+cancel; where D <= 0 the three roots are Viete's
+t_k = 2 r cos((phi + 2 pi k)/3), r = sqrt(-L0), phi = acos(-L1/r^3),
+ascending for k = 1, 2, 0; r = 0 is the triple root t = 0.  Every root
+path and `cubic_discriminant_rel` build on `_resolvent`:
 
-* The ranking grid (`_lower_closed_form`): the vector closed form and its
-  dust filter, unpolished.  It serves grids that only pick a bracket or a
-  cell for the optimizers, and the sign-change scan of
-  `cavity.exceptional_points`; none of its roots is reported.  Off the cusp it
-  is within about 1e-13 relative of the polished root.
+* The ranking grid (`_lower_closed_form`): Cardano everywhere, and Viete's
+  k = 1 only where D <= 0, unpolished.  It serves grids that only pick a
+  bracket or a cell for the optimizers, and the sign-change scan of
+  `cavity.exceptional_points`; none of its roots is reported.
 * The reported grid (`lower_branch_array`): the ranking grid plus the
   vector `_newton_polish`; it serves the columns of detuning profiles.
-* The scalar path (`_cubic_roots`, `_polish_root`, `lower_root`,
+* The scalar path (`_real_roots`, `_polish_root`, `lower_root`,
   `photon_branches`) serves point solves and every number an optimizer
-  reports, in plain float/complex arithmetic with an `np.longdouble`
-  polish, at about a tenth of the cost of a one-element array.
+  reports, in plain float arithmetic with an `np.longdouble` polish, at
+  about a tenth of the cost of a one-element array.  Its cube root,
+  arccos and cosine are numpy's, as on the grids: `math.cbrt` rounds some
+  cube roots differently in the last bit.
 
-The two polished paths gave bit-identical lower roots on 16,800 seeded
+The two polished paths gave bit-identical lower roots on 100,800 seeded
 random and near-cusp points; tests/test_scalar_root.py pins their
-agreement at 1e-12 relative.  Every `SteadyState` is built by
-`state_for_root`.
+agreement at 1e-12 relative, and the unpolished roots against a 50-digit
+reference.  Every `SteadyState` is built by `state_for_root`.
 """
 from __future__ import annotations
 
@@ -42,11 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPolicyError, InvariantError, LinearCavityError
-from .params import (BranchPolicy, CRITICAL_POWER_FRACTION, OperatingPoint,
+from .params import (TAU, BranchPolicy, CRITICAL_POWER_FRACTION, OperatingPoint,
                      SystemParams)
-
-#: Imaginary dust tolerance for accepting a closed-form root as real.
-REAL_ROOT_IMAG_TOL = 1e-9
 
 #: Target relative residual of every returned root in the cubic.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -123,48 +127,13 @@ def cubic_residual(k_eff: float, delta: float, kappa: float, n_in: float, n):
     return (lhs - kappa * n_in) / (kappa * n_in)
 
 
-#: Primitive sixth roots of unity of the closed-form root formulas.
-_W_PLUS = cmath.exp(1j * math.pi / 3.0)
-_W_MINUS = cmath.exp(-1j * math.pi / 3.0)
-
-
 def _resolvent(k_eff, delta, kappa, n_in):
-    """Resolvent pair (L0, L1) of the photon cubic, on floats or arrays:
-    L0 = 3 kappa^2/4 - Delta^2 and L1 = -(9 kappa^2/4 + Delta^2) Delta
-    - 27 kappa K_eff n_in / 2."""
+    """Resolvent pair (L0, L1) of the photon cubic and its discriminant
+    D = L0^3 + L1^2, on floats or arrays: L0 = 3 kappa^2/4 - Delta^2 and
+    L1 = -(9 kappa^2/4 + Delta^2) Delta - 27 kappa K_eff n_in / 2."""
     l0 = 0.75 * kappa * kappa - delta * delta
     l1 = -(2.25 * kappa * kappa + delta * delta) * delta - 13.5 * kappa * k_eff * n_in
-    return l0, l1
-
-
-def _closed_form_roots(k_eff, delta, kappa, n_in):
-    """The three complex roots of the photon cubic, vectorized over delta.
-
-    Uses the explicit resolvent: Sigma = cbrt(sqrt(L0^3 + L1^2) + L1).
-    """
-    delta = np.asarray(delta, dtype=float)
-    l0, l1 = _resolvent(k_eff, delta, kappa, n_in)
-    s = np.sqrt(l0.astype(complex) ** 3 + np.asarray(l1, dtype=complex) ** 2)
-    arg = s + l1
-    # near-cancellation: the opposite square-root branch is equally valid
-    alt = l1 - s
-    swap = np.abs(arg) < 1e-3 * np.abs(alt)
-    arg = np.where(swap, alt, arg)
-    tiny = np.abs(arg) == 0.0
-    sigma = np.where(tiny, 1.0, arg) ** (1.0 / 3.0)
-
-    inv3k = 1.0 / (3.0 * k_eff)
-    ratio = l0 / sigma
-    r1 = inv3k * (-2.0 * delta - sigma + ratio)
-    r2 = inv3k * (-2.0 * delta + _W_MINUS * sigma - _W_PLUS * ratio)
-    r3 = inv3k * (-2.0 * delta + _W_PLUS * sigma - _W_MINUS * ratio)
-    if np.any(tiny):
-        # triple root at the cusp
-        triple = -2.0 * delta * inv3k + 0j
-        r1 = np.where(tiny, triple, r1)
-        r2 = np.where(tiny, triple, r2)
-        r3 = np.where(tiny, triple, r3)
-    return np.stack([r1, r2, r3])
+    return l0, l1, l0 * (l0 * l0) + l1 * l1
 
 
 def _newton_polish(k_eff, delta, kappa, n_in, roots):
@@ -204,29 +173,23 @@ def _newton_polish(k_eff, delta, kappa, n_in, roots):
     return np.asarray(n, dtype=float)
 
 
-def _cubic_roots(k_eff: float, delta: float, kappa: float, n_in: float):
-    """The three complex roots of the photon cubic at one detuning: the
-    scalar twin of `_closed_form_roots`, step for step."""
-    l0, l1 = _resolvent(k_eff, delta, kappa, n_in)
-    disc = l0 * (l0 * l0) + l1 * l1
-    s = cmath.sqrt(disc)
-    arg = s + l1
-    # near-cancellation: the opposite square-root branch is equally valid
-    alt = l1 - s
-    if abs(arg) < 1e-3 * abs(alt):
-        arg = alt
+def _real_roots(k_eff: float, delta: float, kappa: float, n_in: float):
+    """The real roots of the photon cubic at one detuning, ascending and
+    unpolished: one where D > 0, three where D <= 0.  Plain float
+    arithmetic, except numpy's cube root, arccos and cosine, so the first
+    root is the one `_lower_closed_form` takes, bit for bit."""
+    l0, l1, disc = _resolvent(k_eff, delta, kappa, n_in)
     inv3k = 1.0 / (3.0 * k_eff)
-    if abs(arg) == 0.0:
+    if disc > 0.0:
+        sigma = float(np.cbrt(l1 + math.copysign(math.sqrt(disc), l1)))
+        return (inv3k * (l0 / sigma - sigma - 2.0 * delta),)
+    r = math.sqrt(-l0)
+    if r == 0.0:
         # triple root at the cusp
-        triple = complex(-2.0 * delta * inv3k, 0.0)
-        return triple, triple, triple
-    # numpy's complex power, the one the vector path uses; Python's own
-    # power rounds some cube roots differently in the last bits
-    sigma = complex(np.complex128(arg) ** (1.0 / 3.0))
-    ratio = l0 / sigma
-    return (inv3k * (-2.0 * delta - sigma + ratio),
-            inv3k * (-2.0 * delta + _W_MINUS * sigma - _W_PLUS * ratio),
-            inv3k * (-2.0 * delta + _W_PLUS * sigma - _W_MINUS * ratio))
+        return (inv3k * (-2.0 * delta),) * 3
+    phi = float(np.arccos(min(max(-l1 / (r * r * r), -1.0), 1.0)))
+    return tuple(inv3k * (2.0 * r * float(np.cos((phi + TAU * k) / 3.0)) - 2.0 * delta)
+                 for k in (1, 2, 0))
 
 
 def _polish_root(k_eff: float, delta: float, kappa: float, n_in: float,
@@ -279,11 +242,6 @@ def _is_stable(k_eff: float, delta, kappa: float, n):
     return branch_slope(k_eff, delta, kappa, n) > -1e-9 * scale
 
 
-def _dust_real(roots):
-    """Mask of the closed-form roots that the dust filter accepts as real."""
-    return np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))
-
-
 def root_slopes(p: SystemParams, delta, n_c):
     """(dn_c/dDelta, dn_c/dn_in) along a root n_c of the photon cubic, on
     floats or arrays, by implicit differentiation:
@@ -304,12 +262,8 @@ def photon_branches(p: SystemParams, delta: float, n_in: float):
         return [(p.kappa * n_in / (delta * delta + p.kappa * p.kappa / 4.0), True)]
 
     delta, n_in = float(delta), float(n_in)
-    roots = _cubic_roots(k_eff, delta, p.kappa, n_in)
-    real = [r.real for r in roots if abs(r.imag) <= REAL_ROOT_IMAG_TOL * max(1.0, abs(r))]
-    if not real:
-        # dust filter rejected everything; a real cubic always has one
-        real = [min(roots, key=lambda r: abs(r.imag)).real]
-    real = sorted(r for r in (_polish_root(k_eff, delta, p.kappa, n_in, x) for x in real)
+    real = sorted(r for r in (_polish_root(k_eff, delta, p.kappa, n_in, x)
+                              for x in _real_roots(k_eff, delta, p.kappa, n_in))
                   if r > -1e-12)
     # collapse numerically duplicated roots (exact degeneracy)
     merged = []
@@ -325,27 +279,27 @@ def photon_branches(p: SystemParams, delta: float, n_in: float):
 
 
 def _lower_closed_form(p: SystemParams, deltas, n_in: float):
-    """Smallest non-negative real closed-form root for every detuning in
-    `deltas`, before the polish: the root that ranks a search grid."""
+    """Smallest non-negative real root for every detuning in `deltas`,
+    before the polish: the root that ranks a search grid.  Cardano's root
+    everywhere, replaced by Viete's k = 1 where D <= 0."""
     deltas = np.asarray(deltas, dtype=float)
     if n_in == 0.0:
         return np.zeros_like(deltas)
     k_eff = effective_kerr(p)
     if k_eff == 0.0:
         return p.kappa * n_in / (deltas * deltas + p.kappa * p.kappa / 4.0)
-    roots = _closed_form_roots(k_eff, deltas, p.kappa, n_in)
-    real = np.where(_dust_real(roots), roots.real, np.inf)
-    real = np.where(real < -1e-12, np.inf, real)
-    lower = np.min(real, axis=0)
-    # dust filter can reject everything at a degenerate point; fall back to
-    # the root with the least imaginary part (the cubic always has one real)
-    missed = ~np.isfinite(lower)
-    if np.any(missed):
-        least = np.take_along_axis(
-            roots, np.argmin(np.abs(roots.imag), axis=0)[None, ...], axis=0
-        )[0]
-        lower = np.where(missed, least.real, lower)
-    return np.maximum(lower, 0.0)
+    l0, l1, disc = _resolvent(k_eff, deltas, p.kappa, n_in)
+    # where D <= 0 Cardano's root is NaN or wrong; Viete's replaces it
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sigma = np.cbrt(l1 + np.copysign(np.sqrt(disc), l1))
+        t = np.asarray(l0 / sigma - sigma)
+        three = disc <= 0.0
+        if np.any(three):
+            r = np.sqrt(-l0[three])
+            phi = np.arccos(np.clip(-l1[three] / (r * r * r), -1.0, 1.0))
+            # r = 0 is the triple root t = 0
+            t[three] = np.where(r == 0.0, 0.0, 2.0 * r * np.cos((phi + TAU) / 3.0))
+    return np.maximum((1.0 / (3.0 * k_eff)) * (t - 2.0 * deltas), 0.0)
 
 
 def lower_branch_array(p: SystemParams, deltas, n_in: float):
@@ -362,16 +316,15 @@ def lower_branch_array(p: SystemParams, deltas, n_in: float):
 
 def single_stable_root(p: SystemParams, deltas, n_in: float, n_c):
     """Mask of the detunings where `photon_branches` returns [(n_c, True)],
-    n_c being the `lower_branch_array` root: one closed-form root passes
-    the dust filter and its label is stable.  The drive must be valid and
-    the detunings finite."""
+    n_c being the `lower_branch_array` root: the cubic has one real root
+    (D > 0) and its label is stable.  The drive must be valid and the
+    detunings finite."""
     deltas = np.asarray(deltas, dtype=float)
     k_eff = effective_kerr(p)
     if n_in == 0.0 or k_eff == 0.0:
         return np.ones(deltas.shape, dtype=bool)
-    roots = _closed_form_roots(k_eff, deltas, p.kappa, n_in)
-    single = np.count_nonzero(_dust_real(roots), axis=0) == 1
-    return single & _is_stable(k_eff, deltas, p.kappa, n_c)
+    disc = _resolvent(k_eff, deltas, p.kappa, n_in)[2]
+    return (disc > 0.0) & _is_stable(k_eff, deltas, p.kappa, n_c)
 
 
 def lower_root(p: SystemParams, delta: float, n_in: float) -> float:
@@ -383,16 +336,8 @@ def lower_root(p: SystemParams, delta: float, n_in: float) -> float:
     delta, n_in = float(delta), float(n_in)
     if k_eff == 0.0:
         return p.kappa * n_in / (delta * delta + p.kappa * p.kappa / 4.0)
-    roots = _cubic_roots(k_eff, delta, p.kappa, n_in)
-    lower = math.inf
-    for r in roots:
-        # max(nan, 1.0) is nan, which fails the filter as it does in numpy
-        if abs(r.imag) <= REAL_ROOT_IMAG_TOL * max(abs(r), 1.0) and -1e-12 <= r.real < lower:
-            lower = r.real
-    if lower == math.inf:
-        # dust filter rejected everything; fall back to the least imaginary part
-        lower = min(roots, key=lambda r: abs(r.imag)).real
-    return max(_polish_root(k_eff, delta, p.kappa, n_in, max(lower, 0.0)), 0.0)
+    lower = max(_real_roots(k_eff, delta, p.kappa, n_in)[0], 0.0)
+    return max(_polish_root(k_eff, delta, p.kappa, n_in, lower), 0.0)
 
 
 def bifurcation(p: SystemParams) -> BifurcationData:
@@ -487,8 +432,7 @@ def cubic_discriminant_rel(p: SystemParams, delta: float, n_in: float) -> float:
     by its no-cancellation scale; vanishes at the bifurcation cusp and is
     negative exactly where three real roots coexist."""
     k_eff = effective_kerr(p)
-    l0, l1 = _resolvent(k_eff, delta, p.kappa, n_in)
-    num = l0 ** 3 + l1 ** 2
+    num = _resolvent(k_eff, delta, p.kappa, n_in)[2]
     scale = ((0.75 * p.kappa ** 2 + delta * delta) ** 3
              + ((2.25 * p.kappa ** 2 + delta * delta) * abs(delta)
                 + 13.5 * p.kappa * k_eff * n_in) ** 2)

@@ -1,6 +1,7 @@
 """The scalar lower root against the vector kernel and a 50-digit
-reference, the scalar occupation probe against the profile, CSV quoting,
-and the CLI exit codes of malformed sweep specs and spectrum grids."""
+reference, the unpolished closed-form roots against the same reference,
+the scalar occupation probe against the profile, CSV quoting, and the CLI
+exit codes of malformed sweep specs and spectrum grids."""
 import csv
 import io
 import math
@@ -14,12 +15,19 @@ from kerrcool import steady, sweeps
 from kerrcool.cli import run_cli
 from kerrcool.errors import InvariantError
 from kerrcool.io import rows_to_csv
-from kerrcool.params import TAU
+from kerrcool.params import CRITICAL_POWER_FRACTION, TAU
 
 #: Agreement of the scalar and vector lower roots (relative).
 SCALAR_VECTOR_RTOL = 1e-12
 #: Agreement of the scalar lower root with the 50-digit root (relative).
 MPMATH_RTOL = 1e-11
+#: Agreement of the unpolished lower root with the 50-digit root at the
+#: edges of the appF detuning window (relative).  Measured worst: 2.3e-10,
+#: in linear-comparison mode at g0/2pi = 2 kHz and Delta = -3.1 kappa.
+WINDOW_EDGE_RTOL = 4e-10
+#: Agreement of the three unpolished roots of a bistable point with the
+#: 50-digit roots (relative).  Measured worst: 2.5e-15.
+BISTABLE_RTOL = 1e-14
 
 
 def _variants(defaults, rng, count):
@@ -120,6 +128,72 @@ class TestScalarRoot:
             assert err <= 4.0 * eps * cond + 2.0 ** -53
 
 
+def _mpmath_roots(p, delta, n_in):
+    """The real roots of the photon cubic at the same float inputs, in 50
+    digits, ascending."""
+    with mpmath.workdps(50):
+        K, d, ka, f = (mpmath.mpf(x) for x in (kc.effective_kerr(p), delta, p.kappa, n_in))
+        roots = mpmath.polyroots([K * K, 2 * d * K, d * d + ka * ka / 4, -ka * f],
+                                 maxsteps=200, extraprec=200)
+        return sorted(mpmath.re(r) for r in roots
+                      if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30 * abs(r))
+
+
+class TestUnpolishedRoot:
+    def test_scalar_lower_root_is_the_grid_root(self, defaults):
+        # both paths take numpy's cube root; math.cbrt differs in the last bit
+        for p, delta, n_in in _sample_points(defaults):
+            grid = steady._lower_closed_form(p, np.array([delta]), n_in)[0]
+            k_eff = kc.effective_kerr(p)
+            assert steady._real_roots(k_eff, delta, p.kappa, n_in)[0] == grid
+
+    def test_window_edges_against_mpmath(self, defaults):
+        # the two outermost detunings on each side of an appF map cell's grid
+        worst = 0.0
+        for g0_hz in (2e3, 5e4):
+            for omega_frac in np.linspace(0.05, 0.35, 12):
+                variant = sweeps.sideband_variant(defaults.replace(g0=TAU * g0_hz), omega_frac)
+                for mode in sweeps.Mode:
+                    p, n_in = sweeps._equal_drive_target(variant, mode, CRITICAL_POWER_FRACTION)
+                    grid = np.linspace(*sweeps.detuning_window(p), sweeps.PROFILE_POINTS // 2)
+                    edges = grid[[0, 1, -2, -1]]
+                    for d, n in zip(edges, steady._lower_closed_form(p, edges, n_in)):
+                        ref = _mpmath_roots(p, d, n_in)[0]
+                        worst = max(worst, float(abs(n - ref) / ref))
+        assert worst <= WINDOW_EDGE_RTOL
+
+    def test_near_cusp_against_mpmath(self, defaults):
+        # unpolished, the nearly triple root is as good as its conditioning
+        # allows in float64: the rounding of the resolvent pair, times the
+        # condition number
+        rng = np.random.default_rng(9)
+        eps = float(np.finfo(float).eps)
+        for p in _variants(defaults, rng, 2):
+            bi = steady.bifurcation(p)
+            for exponent in (-13, -11, -9, -7, -5):
+                delta = bi.delta_bi * (1.0 + rng.uniform(-1e-12, 1e-12))
+                n_in = bi.n_in_bi * (1.0 - 10.0 ** exponent)
+                ref, cond = TestScalarRoot._mpmath_lower(p, delta, n_in)
+                n = steady._lower_closed_form(p, np.array([delta]), n_in)[0]
+                assert float(abs(n - ref) / ref) <= eps * cond + 2.0 ** -53
+
+    def test_bistable_roots_against_mpmath(self, defaults):
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for p in _variants(defaults, rng, 2):
+            bi = steady.bifurcation(p)
+            n_in = bi.n_in_bi * rng.uniform(2.0, 3.0)
+            k_eff = kc.effective_kerr(p)
+            deltas = np.linspace(-4.0 * p.kappa, bi.delta_bi, 400)
+            three = [d for d in deltas if steady.cubic_discriminant_rel(p, d, n_in) < 0.0]
+            for delta in three[::len(three) // 6]:
+                roots = steady._real_roots(k_eff, delta, p.kappa, n_in)
+                ref = _mpmath_roots(p, delta, n_in)
+                assert len(roots) == len(ref) == 3
+                worst = max(worst, max(float(abs(x - r) / r) for x, r in zip(roots, ref)))
+        assert worst <= BISTABLE_RTOL
+
+
 def _profile_at(p, d, n_in, xi=0.0):
     """`_occupation_profile` at one detuning on the polished vector root:
     (n_m, Gamma_S, Gamma_opt)."""
@@ -207,3 +281,8 @@ class TestCliExitCodes:
     def test_spectrum_two_points(self, capsys):
         assert run_cli(["spectrum", "--points", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_spectrum_subnormal_span_that_resolves(self, capsys):
+        # the least span that resolves depends on --points
+        assert run_cli(["spectrum", "--omega-span-hz", "1e-310", "--points", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4

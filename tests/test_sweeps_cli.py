@@ -298,8 +298,9 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--xi" in captured.err and "Traceback" not in captured.err
-        # grid sizes below two, worker counts below one, on every target, and
-        # spectrum spans that are negative, not finite or overflow the grid
+        # grid sizes below two, worker counts below one, on every target,
+        # spectrum spans that are negative, not finite, overflow the grid or
+        # are too small for its points, and --oracle outside spectrum and cool
         for argv, flag in ((["reproduce", "fig7", "--points", "0"], "--points"),
                            (["reproduce", "fig7", "--points", "1"], "--points"),
                            (["reproduce", "fig2", "--points", "-3"], "--points"),
@@ -311,7 +312,9 @@ class TestCli:
                            (["spectrum", "--omega-span-hz", "-1"], "--omega-span-hz"),
                            (["spectrum", "--omega-span-hz", "nan"], "--omega-span-hz"),
                            (["spectrum", "--omega-span-hz", "inf"], "--omega-span-hz"),
-                           (["spectrum", "--omega-span-hz", "1e308"], "--omega-span-hz")):
+                           (["spectrum", "--omega-span-hz", "1e308"], "--omega-span-hz"),
+                           (["spectrum", "--omega-span-hz", "1e-320"], "--omega-span-hz"),
+                           (["steady", "--oracle"], "--oracle")):
             assert run_cli(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
