@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class Spectrum:
 
     grid: np.ndarray     # rad/s
     values: np.ndarray   # 1/(rad/s), same normalization as the rates
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -150,9 +149,7 @@ def photon_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
     """Evaluate S_nn on a grid, rejecting dynamically unstable points."""
     _require_stable(ss, p)
     grid = np.asarray(grid, dtype=float)
-    return Spectrum(grid=grid, values=photon_spectrum_values(grid, ss, p),
-                    meta={"kind": "photon_number", "n_c": ss.n_c,
-                          "detuning": ss.detuning, "n_in": ss.n_in})
+    return Spectrum(grid=grid, values=photon_spectrum_values(grid, ss, p))
 
 
 #: Relative tolerance for flagging the decay-rate extremum condition

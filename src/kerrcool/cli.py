@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cavity, cooling, io, oracle, squeezing, steady, sweeps
 from .errors import ConfigError, KerrcoolError
-from .params import (TAU, CRITICAL_POWER_FRACTION, SystemParams,
+from .params import (TAU, CRITICAL_POWER_FRACTION, OperatingPoint, SystemParams,
                      default_params, params_from_config)
 from .sweeps import AxisRange, Mode, SweepKind, SweepSpec
 
@@ -40,10 +40,13 @@ def _load_params(args) -> SystemParams:
 
 
 def _drive(p: SystemParams, args) -> float:
-    if getattr(args, "n_in", None) is not None:
-        return args.n_in
-    frac = getattr(args, "n_in_frac", None)
-    return steady.critical_power(p, CRITICAL_POWER_FRACTION if frac is None else frac)
+    """The input flux, checked before any search runs on it: a ConfigError
+    names n_in if it is negative or not finite."""
+    n_in = getattr(args, "n_in", None)
+    if n_in is None:
+        frac = getattr(args, "n_in_frac", None)
+        n_in = steady.critical_power(p, CRITICAL_POWER_FRACTION if frac is None else frac)
+    return OperatingPoint(0.0, n_in).n_in
 
 
 def _detuning(p: SystemParams, args) -> float:

@@ -103,9 +103,7 @@ def mech_noise_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
         warnings.warn("weak-coupling form used outside kappa >> g0", stacklevel=2)
     values, _, _ = _mech_spectrum_evaluator(ss, p)
     grid = np.asarray(grid, dtype=float)
-    return Spectrum(grid=grid, values=values(grid),
-                    meta={"kind": "mechanical", "detuning": ss.detuning,
-                          "n_in": ss.n_in})
+    return Spectrum(grid=grid, values=values(grid))
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,7 @@ def numeric_spectrum(dm: DynamicalMatrix, correlators: np.ndarray,
     else:
         raise ValueError(f"unknown spectrum pair {pair!r}")
     values = np.real_if_close(values, tol=1e6)
-    return Spectrum(grid=grid, values=np.real(values),
-                    meta={"kind": f"numeric_{pair}"})
+    return Spectrum(grid=grid, values=np.real(values))
 
 
 def numeric_occupation(dm: DynamicalMatrix, correlators: np.ndarray):

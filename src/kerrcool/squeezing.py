@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import photon_spectrum_values, spectrum_denominator
-from .cooling import CoolingReport, occupation
-from .errors import ConfigError, InstabilityError, InvariantError
+from .cooling import CoolingReport, check_net_damping, occupation
+from .errors import ConfigError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
 
@@ -191,13 +191,11 @@ def squeezed_backaction(ss: SteadyState, p: SystemParams, xi: float):
 
 def occupation_with_squeezing(ss: SteadyState, p: SystemParams, sq: SqueezeSpec) -> float:
     """Steady occupation with the squeezed Stokes rate:
-    (gamma_m n_th + Gamma_S^sq) / (gamma_m + Gamma_tot)."""
+    (gamma_m n_th + Gamma_S^sq) / (gamma_m + Gamma_tot).  Squeezing leaves
+    Gamma_tot equal to Gamma_opt, so the net-damping check is the unsqueezed
+    one."""
     gamma_s_sq, _, gamma_tot = squeezed_rates(ss, p, sq)
-    if p.gamma_m + gamma_tot <= 0.0:
-        raise InstabilityError(
-            f"net mechanical anti-damping: gamma_m + Gamma_tot = "
-            f"{p.gamma_m + gamma_tot:.6g} <= 0"
-        )
+    check_net_damping(p, gamma_tot)
     return (p.gamma_m * p.n_th + gamma_s_sq) / (p.gamma_m + gamma_tot)
 
 

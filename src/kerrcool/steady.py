@@ -36,7 +36,7 @@ path and `cubic_discriminant_rel` build on `_resolvent`:
 
 The two polished paths gave bit-identical lower roots on 100,800 seeded
 random and near-cusp points; tests/test_scalar_root.py pins their
-agreement at 1e-12 relative, and the unpolished roots against a 50-digit
+agreement bit for bit, and the unpolished roots against a 50-digit
 reference.  Every `SteadyState` is built by `state_for_root`.
 """
 from __future__ import annotations
@@ -55,10 +55,9 @@ from .params import (TAU, BranchPolicy, CRITICAL_POWER_FRACTION, OperatingPoint,
 #: Target relative residual of every returned root in the cubic.
 ROOT_RESIDUAL_TOL = 1e-10
 
-#: Backtracking Newton steps of the root polish, and step halvings per step;
-#: the vector and the scalar polish both use them.
+#: Guarded full Newton steps of the root polish, vector and scalar alike;
+#: a step that would raise |f| is not taken.
 POLISH_STEPS = 3
-POLISH_HALVINGS = 8
 
 
 class Branch(enum.Enum):
@@ -137,12 +136,14 @@ def _resolvent(k_eff, delta, kappa, n_in):
 
 
 def _newton_polish(k_eff, delta, kappa, n_in, roots):
-    """Backtracking Newton steps on the photon cubic in extended precision.
+    """Guarded Newton steps on the photon cubic in extended precision.
 
-    A step is only kept while it reduces |f|; at a (near-)multiple root the
-    raw Newton step is noise over noise and must not move the root.  The
-    residual of the last accepted candidate is carried into the next step
-    instead of being evaluated again.
+    Each step is one full Newton step, kept only where it does not raise
+    |f|; elsewhere the point stays where it is.  At a (near-)multiple root
+    the raw Newton step is noise over noise and must not move the root.
+    The start is a closed-form root, so no line search is needed.  The
+    residual of each accepted point is carried into the next step instead
+    of being evaluated again.
     """
     ld = np.longdouble
     n = roots.astype(ld)
@@ -158,16 +159,8 @@ def _newton_polish(k_eff, delta, kappa, n_in, roots):
         shift = d + K * n
         fp = shift * shift + quarter + ld(2.0) * n * K * shift
         step = np.where(fp != 0.0, f / np.where(fp != 0.0, fp, ld(1.0)), ld(0.0))
-        for _ in range(POLISH_HALVINGS):
-            f_new = f_of(n - step)
-            better = np.abs(f_new) <= np.abs(f)
-            if np.all(better):
-                break
-            step = np.where(better, step, step * ld(0.5))
-        else:
-            # the last halving has not been evaluated yet
-            f_new = f_of(n - step)
-            better = np.abs(f_new) <= np.abs(f)
+        f_new = f_of(n - step)
+        better = np.abs(f_new) <= np.abs(f)
         n = np.where(better, n - step, n)
         f = np.where(better, f_new, f)
     return np.asarray(n, dtype=float)
@@ -197,31 +190,25 @@ def _polish_root(k_eff: float, delta: float, kappa: float, n_in: float,
     """`_newton_polish` for one root, on `np.longdouble` scalars.
 
     Elementwise the same arithmetic as the vector polish.  A rejected step,
-    or a vanishing f', would repeat in every later iteration, so the loop
-    stops there.
+    or a vanishing f', would repeat in every later step, so the loop stops
+    there.
     """
     ld = np.longdouble
     n = ld(root)
     d, ka, K, flux = ld(delta), ld(kappa), ld(k_eff), ld(n_in)
     quarter = ka * ka / ld(4.0)
     drive = ka * flux
-    half, two = ld(0.5), ld(2.0)
+    two = ld(2.0)
     shift = d + K * n
     f = n * (shift * shift + quarter) - drive
     for _ in range(POLISH_STEPS):
         fp = shift * shift + quarter + two * n * K * shift
         if fp == 0.0:
             break
-        step = f / fp
-        # the vector loop's halvings plus its evaluation of the last one
-        for _ in range(POLISH_HALVINGS + 1):
-            candidate = n - step
-            c_shift = d + K * candidate
-            f_new = candidate * (c_shift * c_shift + quarter) - drive
-            if abs(f_new) <= abs(f):
-                break
-            step = step * half
-        else:
+        candidate = n - f / fp
+        c_shift = d + K * candidate
+        f_new = candidate * (c_shift * c_shift + quarter) - drive
+        if not abs(f_new) <= abs(f):
             break
         n, f, shift = candidate, f_new, c_shift
     return float(n)

@@ -114,17 +114,6 @@ def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_c: np.ndarray,
     return np.where(bad, np.inf, n_m), g_s, g_opt
 
 
-def _occupation_scalar(p: SystemParams, delta: float, n_in: float, xi: float = 0.0) -> float:
-    """`_occupation_profile` at one point, on floats."""
-    delta = float(delta)
-    g_s, g_opt = cavity.rates(p, delta, steady.lower_root(p, delta, n_in))
-    denom = p.gamma_m + g_opt
-    if not denom > 0.0:
-        return math.inf
-    n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
-    return n_m if math.isfinite(n_m) and n_m > 0.0 else math.inf
-
-
 def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bool):
     """(Gamma_S, Gamma_opt) on the lower branch and their derivatives along
     the detuning, or along the input flux."""
@@ -135,16 +124,18 @@ def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bo
     return cavity.rates(p, delta, n_c), cavity.rate_slopes(p, delta, n_c, *step)
 
 
-def _occupation_slope(p: SystemParams, delta: float, n_in: float, xi: float = 0.0,
-                      along_flux: bool = False) -> float:
-    """dn_m/dDelta (or dn_m/dn_in) of `_occupation_scalar`; nan where the
-    occupation is infeasible."""
+def _occupation_lane(p: SystemParams, delta: float, n_in: float, xi: float = 0.0,
+                     along_flux: bool = False):
+    """`_occupation_profile` at one point, on floats, and its slope
+    dn_m/dDelta (or dn_m/dn_in): (n_m, dn_m).  n_m is +inf where
+    infeasible; the slope is nan where gamma_m + Gamma_opt <= 0."""
     (g_s, g_opt), (dg_s, dg_opt) = _rates_and_slopes(p, delta, n_in, along_flux)
     denom = p.gamma_m + g_opt
     if not denom > 0.0:
-        return math.nan
+        return math.inf, math.nan
     n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
-    return ((1.0 - xi) * dg_s - n_m * dg_opt) / denom
+    slope = ((1.0 - xi) * dg_s - n_m * dg_opt) / denom
+    return (n_m if math.isfinite(n_m) and n_m > 0.0 else math.inf), slope
 
 
 # ----------------------------------------------------------------------
@@ -213,23 +204,32 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
     return _brent(f, a, b, fa, fb, 1e-15 * max(abs(a), abs(b)), ROOT_RTOL)[0]
 
 
-def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, value, slope):
-    """Minimum of a function sampled as `vals` on `grid`.  The samples only
-    rank: the least one picks the bracket [g[i-1], g[i+1]], and the root of
-    `slope` in it refines the point.  Without a sign change (an edge
-    minimum), or if `value` at the grid point is lower than at the root,
-    the grid point stands, with that exact value, not its sample.
+def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, lane):
+    """Minimum of a function sampled as `vals` on `grid`; `lane(x)` gives
+    its exact (value, slope) at x.  The samples only rank: the least one
+    picks the bracket [g[i-1], g[i+1]], and the root of the slope in it
+    refines the point.  Without a sign change (an edge minimum), or if the
+    value at the grid point is lower than at the root, the grid point
+    stands, with that exact value, not its sample.  Brent returns an end
+    or an iterate, so the value at the root is one already computed.
     Returns (x, value)."""
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return math.nan, math.inf
+    seen = {}
+
+    def slope(x):
+        seen[x] = lane(x)
+        return seen[x][1]
+
     a = float(grid[max(0, i - 1)])
     b = float(grid[min(len(grid) - 1, i + 1)])
     x = _bracketed_root(slope, a, b, slope(a), slope(b))
-    fx = math.inf if x is None else value(x)
-    at_grid = value(float(grid[i]))
+    fx = math.inf if x is None else seen[x][0]
+    g = float(grid[i])
+    at_grid = (seen[g] if g in seen else lane(g))[0]
     if x is None or at_grid < fx:
-        return float(grid[i]), float(at_grid)
+        return g, float(at_grid)
     return x, float(fx)
 
 
@@ -252,8 +252,7 @@ def optimal_detuning(p: SystemParams, n_in: float, xi: float = 0.0,
     grid = np.linspace(lo, hi, grid_points)
     n_c = steady._lower_closed_form(p, grid, n_in)
     return _grid_slope_min(_occupation_profile(p, grid, n_c, xi)[0], grid,
-                           lambda d: _occupation_scalar(p, d, n_in, xi),
-                           lambda d: _occupation_slope(p, d, n_in, xi))
+                           lambda d: _occupation_lane(p, d, n_in, xi))
 
 
 def max_damping_point(p: SystemParams, n_in: float):
@@ -268,8 +267,7 @@ def max_damping_point(p: SystemParams, n_in: float):
         (_, g), (_, dg) = _rates_and_slopes(p, x, n_in, along_flux=False)
         return -g / p.gamma_m, -dg / p.gamma_m
 
-    d, negc = _grid_slope_min(-g_opt / p.gamma_m, grid,
-                              lambda x: neg_c(x)[0], lambda x: neg_c(x)[1])
+    d, negc = _grid_slope_min(-g_opt / p.gamma_m, grid, neg_c)
     return d, -negc
 
 
@@ -309,9 +307,8 @@ def optimize_operating_point(p: SystemParams,
     vals = np.full(len(fluxes), np.inf)
     for j in range(max(0, cell - 1), min(len(fluxes), cell + 2)):
         vals[j] = envelope(float(fluxes[j]))[1]
-    n_in, _ = _grid_slope_min(
-        vals, fluxes, lambda f: envelope(f)[1],
-        lambda f: _occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
+    n_in, _ = _grid_slope_min(vals, fluxes, lambda f: (
+        envelope(f)[1], _occupation_lane(p, envelope(f)[0], f, xi, along_flux=True)[1]))
     delta = envelope(n_in)[0]
     return delta, n_in, squeezing.matched_report(steady.steady_at(p, delta, n_in), p, xi)
 

@@ -160,9 +160,9 @@ def test_nan_slope_is_a_row_error(defaults, monkeypatch):
     # records a ConvergenceError and the sweep goes on
     real = sweeps._grid_slope_min
 
-    def nan_inside(vals, grid, value, slope):
+    def nan_inside(vals, grid, lane):
         on_grid = set(np.asarray(grid).tolist())
-        return real(vals, grid, value, lambda x: slope(x) if x in on_grid else math.nan)
+        return real(vals, grid, lambda x: lane(x) if x in on_grid else (lane(x)[0], math.nan))
 
     monkeypatch.setattr(sweeps, "_grid_slope_min", nan_inside)
     spec = SweepSpec(SweepKind.SIDEBAND_SWEEP, {"omega_frac": AxisRange(0.1, 0.3, 3)})

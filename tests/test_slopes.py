@@ -143,7 +143,7 @@ class TestRootSlopes:
 
     def test_occupation_slopes_against_mpmath(self, defaults):
         for p, delta, n_in, n_c in _sample_points(defaults, seed=33, count=3):
-            if not math.isfinite(sweeps._occupation_scalar(p, delta, n_in)):
+            if not math.isfinite(sweeps._occupation_lane(p, delta, n_in)[0]):
                 continue
             for xi in PURITIES:
                 with mpmath.workdps(50):
@@ -151,14 +151,16 @@ class TestRootSlopes:
                     d, flux = mpmath.mpf(delta), mpmath.mpf(n_in)
                     ref_delta = mpmath.diff(lambda x: n_m(x, flux), d)
                     ref_flux = mpmath.diff(lambda x: n_m(d, x), flux)
-                got_delta = sweeps._occupation_slope(p, delta, n_in, xi)
-                got_flux = sweeps._occupation_slope(p, delta, n_in, xi, along_flux=True)
+                got_delta = sweeps._occupation_lane(p, delta, n_in, xi)[1]
+                got_flux = sweeps._occupation_lane(p, delta, n_in, xi, along_flux=True)[1]
                 assert _rel(got_delta, ref_delta) <= 1e-11
                 assert _rel(got_flux, ref_flux) <= 1e-11
 
     def test_infeasible_slope_is_nan(self, defaults, crit_drive):
         # blue of resonance the optical anti-damping beats gamma_m
-        assert math.isnan(sweeps._occupation_slope(defaults, 0.5 * defaults.kappa, crit_drive))
+        value, slope = sweeps._occupation_lane(defaults, 0.5 * defaults.kappa, crit_drive)
+        assert value == math.inf
+        assert math.isnan(slope)
 
 
 class TestSlopeRootOptima:
@@ -168,7 +170,7 @@ class TestSlopeRootOptima:
             n_m = _mp_occupation(p, xi, steady.lower_root(p, delta, n_in))
             ref = _mp_stationary(lambda d: n_m(d, n_in), delta)
             assert _rel(delta, ref) <= 1e-12
-            assert value == sweeps._occupation_scalar(p, delta, n_in, xi)
+            assert value == sweeps._occupation_lane(p, delta, n_in, xi)[0]
 
     @pytest.mark.parametrize("omega_frac,linear,xi", [
         (0.1, False, 0.0), (0.2, False, 0.9), (0.2, True, 0.0), (1.0, True, 0.9)])
@@ -200,7 +202,7 @@ class TestSlopeRootOptima:
         delta, value = sweeps.optimal_detuning(defaults, crit_drive, window=window,
                                                grid_points=101)
         assert delta == window[1]
-        assert value == sweeps._occupation_scalar(defaults, delta, crit_drive)
+        assert value == sweeps._occupation_lane(defaults, delta, crit_drive)[0]
 
     def test_flux_step_lands_on_the_cap(self, defaults):
         # at the cap dn_m/dn_in < 0: the flux bracket has no sign change
@@ -225,13 +227,12 @@ class TestSlopeRootOptima:
             p = sweeps.sideband_variant(defaults.replace(g0=TAU * 15e3), 0.1).replace(n_th=0.0)
         delta, n_in, _ = sweeps.optimize_operating_point(p, cap, xi, n_in_bi)
         n_in_bi = n_in_bi or steady.bifurcation(p).n_in_bi
-        slope = sweeps._occupation_slope(p, delta, n_in, xi, along_flux=True)
+        n_m, slope = sweeps._occupation_lane(p, delta, n_in, xi, along_flux=True)
         if n_in == cap * n_in_bi:
             assert slope < 0.0
         elif n_in == 1e-3 * n_in_bi:
             assert slope > 0.0
         else:
-            n_m = sweeps._occupation_scalar(p, delta, n_in, xi)
             assert abs(slope) * n_in / n_m <= 1e-8
 
 
@@ -247,9 +248,9 @@ def _exhaustive_flux_optimum(p, cap, xi, n_in_bi):
         return optima[flux]
 
     n_in, _ = sweeps._grid_slope_min(
-        np.array([envelope(float(f))[1] for f in fluxes]), fluxes,
-        lambda f: envelope(f)[1],
-        lambda f: sweeps._occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
+        np.array([envelope(float(f))[1] for f in fluxes]), fluxes, lambda f: (
+            envelope(f)[1],
+            sweeps._occupation_lane(p, envelope(f)[0], f, xi, along_flux=True)[1]))
     return envelope(n_in)[0], n_in
 
 
@@ -317,16 +318,20 @@ def _polished_profile(p, grid, n_in, xi=0.0):
     return np.where(bad, np.inf, n_m), g_opt
 
 
-def _polished_grid_min(vals, grid, value, slope):
+def _polished_grid_min(vals, grid, lane):
     """The grid search on polished samples: the least sample picks the
     bracket, and a kept grid point reports its sampled value."""
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return math.nan, math.inf
+
+    def slope(x):
+        return lane(x)[1]
+
     a = float(grid[max(0, i - 1)])
     b = float(grid[min(len(grid) - 1, i + 1)])
     x = sweeps._bracketed_root(slope, a, b, slope(a), slope(b))
-    fx = math.inf if x is None else value(x)
+    fx = math.inf if x is None else lane(x)[0]
     if vals[i] < fx:
         return float(grid[i]), float(vals[i])
     return x, float(fx)
@@ -336,8 +341,7 @@ def _polished_optimal_detuning(p, n_in, xi=0.0, window=None,
                                grid_points=sweeps.PROFILE_POINTS):
     grid = np.linspace(*(window or sweeps.detuning_window(p)), grid_points)
     return _polished_grid_min(_polished_profile(p, grid, n_in, xi)[0], grid,
-                              lambda d: sweeps._occupation_scalar(p, d, n_in, xi),
-                              lambda d: sweeps._occupation_slope(p, d, n_in, xi))
+                              lambda d: sweeps._occupation_lane(p, d, n_in, xi))
 
 
 def _polished_max_damping(p, n_in):
@@ -348,7 +352,7 @@ def _polished_max_damping(p, n_in):
         return -g / p.gamma_m, -dg / p.gamma_m
 
     d, negc = _polished_grid_min(-_polished_profile(p, grid, n_in)[1] / p.gamma_m, grid,
-                                 lambda x: neg_c(x)[0], lambda x: neg_c(x)[1])
+                                 neg_c)
     return d, -negc
 
 
@@ -367,9 +371,9 @@ def _polished_operating_point(p, cap, xi, n_in_bi):
     vals = np.full(len(fluxes), np.inf)
     for j in range(max(0, cell - 1), min(len(fluxes), cell + 2)):
         vals[j] = envelope(float(fluxes[j]))[1]
-    n_in, _ = _polished_grid_min(
-        vals, fluxes, lambda f: envelope(f)[1],
-        lambda f: sweeps._occupation_slope(p, envelope(f)[0], f, xi, along_flux=True))
+    n_in, _ = _polished_grid_min(vals, fluxes, lambda f: (
+        envelope(f)[1],
+        sweeps._occupation_lane(p, envelope(f)[0], f, xi, along_flux=True)[1]))
     return envelope(n_in)[0], n_in
 
 
@@ -435,7 +439,7 @@ class TestUnpolishedRanking:
         assert delta == sweeps.detuning_window(p)[0]
         found = sweeps.optimal_detuning(p, n_in)
         assert found == _polished_optimal_detuning(p, n_in)
-        assert found == (delta, sweeps._occupation_scalar(p, delta, n_in))
+        assert found == (delta, sweeps._occupation_lane(p, delta, n_in)[0])
 
 
 def _polished_exceptional_points(p, n_in):

@@ -89,7 +89,7 @@ class TestOptimizers:
     def test_squeezed_optimum_reports_minimized_occupation(self, defaults):
         xi = 0.9
         delta, n_in, rep = optimize_operating_point(defaults, xi=xi)
-        assert rep.n_rate == sweeps._occupation_scalar(defaults, delta, n_in, xi)
+        assert rep.n_rate == sweeps._occupation_lane(defaults, delta, n_in, xi)[0]
         assert rep.n_rate == pytest.approx(10.705, rel=1e-4)
         assert rep.n_closed == pytest.approx(rep.n_rate, rel=1e-10)
         # the matched-squeezing rates of the spectrum route
@@ -325,11 +325,16 @@ class TestCli:
         bad.write_text("f_m = 0.3e6\n")  # missing keys
         assert run_cli(["steady", "--config", str(bad)]) == 2
         capsys.readouterr()
-        # a negative drive, given as a flux or as a fraction of bifurcation
-        for drive in (["--n-in", "-1"], ["--n-in-frac", "-1"]):
-            assert run_cli(["steady", *drive]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error: n_in must be >= 0") and "Traceback" not in err
+        # a negative or non-finite drive, given as a flux or as a fraction
+        # of bifurcation; cool and squeeze search a detuning on it, and the
+        # error must still name the drive
+        drives = (["--n-in", "-1"], ["--n-in-frac", "-1"], ["--n-in", "nan"],
+                  ["--n-in", "inf"], ["--n-in-frac", "nan"], ["--n-in-frac", "inf"])
+        for command in (["steady"], ["cool"], ["squeeze", "--xi", "0.5"]):
+            for drive in drives:
+                assert run_cli([*command, *drive]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error: n_in must be >= 0") and "Traceback" not in err
         # malformed numbers in a sweep spec
         spec = tmp_path / "bad.spec"
         for text, key in (("omega_frac = a, 0.2, 2\n", "axis start"),
