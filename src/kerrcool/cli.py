@@ -16,8 +16,8 @@ import numpy as np
 
 from . import cavity, cooling, io, oracle, squeezing, steady, sweeps
 from .errors import ConfigError, KerrcoolError
-from .params import (TAU, CRITICAL_POWER_FRACTION, OperatingPoint, SystemParams,
-                     default_params, params_from_config)
+from .params import (TAU, CRITICAL_POWER_FRACTION, SystemParams, default_params,
+                     params_from_config)
 from .sweeps import AxisRange, Mode, SweepKind, SweepSpec
 
 
@@ -41,12 +41,13 @@ def _load_params(args) -> SystemParams:
 
 def _drive(p: SystemParams, args) -> float:
     """The input flux, checked before any search runs on it: a ConfigError
-    names n_in if it is negative or not finite."""
+    names n_in if it is negative, not finite, or so large that the photon
+    cubic overflows (`steady.checked_drive` at zero detuning)."""
     n_in = getattr(args, "n_in", None)
     if n_in is None:
         frac = getattr(args, "n_in_frac", None)
         n_in = steady.critical_power(p, CRITICAL_POWER_FRACTION if frac is None else frac)
-    return OperatingPoint(0.0, n_in).n_in
+    return steady.checked_drive(p, 0.0, n_in)
 
 
 def _detuning(p: SystemParams, args) -> float:
@@ -118,9 +119,11 @@ def _cmd_spectrum(args) -> int:
         dm = oracle.build_matrix(ss, p)
         corr = oracle.input_correlators(p, sq, ss.phi_c)
         columns["oracle"] = oracle.numeric_spectrum(dm, corr, args.kind, grid).values
-    rows = [dict(zip(columns, cells))
-            for cells in zip(*(c.tolist() for c in columns.values()))]
-    _emit_rows(rows, args)
+    if args.format == "csv":
+        io.emit(io.columns_to_csv(columns), args.out)
+    else:
+        _emit_rows([dict(zip(columns, cells))
+                    for cells in zip(*(c.tolist() for c in columns.values()))], args)
     return 0
 
 

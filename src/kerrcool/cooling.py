@@ -76,9 +76,8 @@ def check_net_damping(p: SystemParams, gamma_opt: float):
 
 def _mech_spectrum_evaluator(ss: SteadyState, p: SystemParams):
     """Closure evaluating the weak-coupling mechanical spectrum on a float
-    array or on one plain float.  Every constant it closes over is a Python
-    float or complex, so a float argument (as quadrature passes) runs as
-    plain Python arithmetic and returns a float; an array runs in numpy."""
+    array, with the scattering rates and Sigma_c[omega_m] it is built on.
+    InstabilityError on net anti-damping."""
     rates = scattering_rates(ss, p)
     check_net_damping(p, rates.gamma_opt)
     sigma = complex(cavity_self_energy(ss, p, p.omega_m))
@@ -198,58 +197,40 @@ def ground_state_feasible(p: SystemParams) -> bool:
     return p.omega_m / p.kappa > 1.0 / (4.0 * math.sqrt(2.0))
 
 
-#: Quadrature window half-width in units of the total mechanical linewidth,
-#: and the relative tolerance of each window's adaptive quadrature.
-QUAD_WINDOW_LINEWIDTHS = 1e4
-QUAD_RTOL = 1e-6
+def _pole_moments(plus: complex, minus: complex):
+    """M_k = int dw/2pi w^k / |(w - W+)(w - W-)|^2 for k = 0, 1, 2.
 
-
-def quadrature_segments(center: float, half: float):
-    """Integration segments around the two resonant lines at +-center.
-
-    When the windows overlap (wide lines in the unresolved regime) they are
-    merged so no frequency range is counted twice.  Returns
-    (segments, outer_edge) with each segment carrying its interior line
-    positions as quadrature breakpoints.
-    """
-    if half >= center:
-        return [(-center - half, center + half, [-center, center])], center + half
-    return ([(-center - half, -center + half, [-center]),
-             (center - half, center + half, [center])], center + half)
+    |w - W|^2 = |w - conj(W)|^2 on the real axis, so with l1, l2 the
+    lower-half-plane members of the two conjugate pole pairs the residue
+    sum at conj(l1) and conj(l2), its factor conj(l1) - conj(l2) cancelled
+    by hand, is, with s1 = l1 + l2 and s0 = l1 l2,
+    (M0, M1, M2) = -(Im s1, Im s0, Im(s0 conj(s1))) / (2 Im l1 Im l2 |conj(l1) - l2|^2);
+    it holds at the exceptional point W+ = W-, a double pole, too.
+    InstabilityError if a pole is real: the integral diverges."""
+    l1 = plus if plus.imag < 0.0 else plus.conjugate()
+    l2 = minus if minus.imag < 0.0 else minus.conjugate()
+    scale = l1.imag * l2.imag * abs(l1.conjugate() - l2) ** 2
+    if not scale > 0.0:
+        raise InstabilityError(f"mechanical pole on the real axis ({plus!r}, {minus!r}): "
+                               f"the spectrum does not integrate")
+    s1, s0 = l1 + l2, l1 * l2
+    scale = -0.5 / scale
+    return scale * s1.imag, scale * s0.imag, scale * (s0 * s1.conjugate()).imag
 
 
 def integrate_mech_spectrum(ss: SteadyState, p: SystemParams):
-    """Occupation from adaptive quadrature of the closed-form mechanical
-    noise spectrum over both resonant lines plus a coarse tail scan.
-    Returns (value, error_estimate)."""
-    # the one scipy import of the package: no other path pays its start-up
-    from scipy.integrate import quad
-
-    values, rates, sigma = _mech_spectrum_evaluator(ss, p)
-    width = p.gamma_m + abs(rates.gamma_opt)
-    center = p.omega_m - sigma.real
-
-    total, err = 0.0, 0.0
-    segments, edge = quadrature_segments(center, QUAD_WINDOW_LINEWIDTHS * width)
-    for lo, hi, pts in segments:
-        val, e = quad(values, lo, hi, points=pts, limit=400, epsrel=QUAD_RTOL)
-        total += val
-        err += e
-    # coarse tails out to +-20 kappa: the spectrum decays like 1/w^2 there
-    tail_grid = np.geomspace(edge, 20.0 * p.kappa + edge, 200)
-    for sgn in (1.0, -1.0):
-        g = np.sort(sgn * tail_grid)
-        total += np.trapezoid(values(g), g)
-    return total / (2.0 * math.pi), err / (2.0 * math.pi)
-
-
-def pole_moment_integrals_closed(ss: SteadyState, p: SystemParams):
-    """Closed forms of the three pole-factor moment integrals
-    int dw/2pi w^k / |(w - W+)(w - W-)|^2 for k = 0, 1, 2, valid for
-    effective cooperativity above one."""
-    c = scattering_rates(ss, p).c_eff
-    gm, om = p.gamma_m, p.omega_m
-    i0 = c / (2.0 * om ** 2 * gm * (c ** 2 - 1.0))
-    i1 = 1.0 / (2.0 * om * gm * (1.0 - c ** 2))
-    i2 = c * (1.0 - (gm / (2.0 * om)) ** 2) / (2.0 * gm * (c ** 2 - 1.0))
-    return i0, i1, i2
+    """Occupation int dw/2pi S(w) of `mech_noise_spectrum`, exact: its
+    numerator is the real quadratic a w^2 + b w + c, so the integral is
+    a M2 + b M1 + c M0 over the `_pole_moments` of the mechanical poles.
+    Returns (value, error_estimate), the estimate a rounding bound of
+    8 eps times the summed magnitudes of the three terms."""
+    _, rates, sigma = _mech_spectrum_evaluator(ss, p)
+    gm, om, nth, gs = p.gamma_m, p.omega_m, p.n_th, rates.gamma_stokes
+    shift = om - sigma.real
+    a = gm * nth + gs
+    b = 2.0 * (gm * nth * shift + gs * om)
+    c = (gm * nth * ((0.5 * gm - sigma.imag) ** 2 + shift * shift)
+         + gm * abs(sigma) ** 2 * (nth + 1.0) + gs * (0.25 * gm * gm + om * om))
+    m0, m1, m2 = _pole_moments(*map(complex, mechanical_poles(ss, p)))
+    terms = (a * m2, b * m1, c * m0)
+    return sum(terms), 8.0 * np.finfo(float).eps * sum(map(abs, terms))

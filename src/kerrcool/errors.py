@@ -30,7 +30,7 @@ class DegenerateSpectrumError(KerrcoolError, ValueError):
 
 
 class ConvergenceError(KerrcoolError):
-    """Iterative routine (quadrature, bisection) failed to converge."""
+    """Iterative routine (a Brent root) failed to converge."""
 
 
 class InvariantError(KerrcoolError):

@@ -58,24 +58,18 @@ def _quote(text: str) -> str:
     return text
 
 
-def rows_to_csv(rows: list) -> str:
-    """Render dict rows as CSV (first line header).
-
-    The columns are the union of keys in first-appearance order.  Cells
-    holding a comma, a quote, a newline or a carriage return are quoted, as
-    is the lone empty cell of a one-column row; all others are written bare.
-    The text is built column by column: a column whose cells are all floats
-    (np.float64 included) enters each line through one "%.12g" field of a
-    line format, which prints nan and +-inf as `_format_cell` does and
-    never a character that needs quoting; any other column is formatted
-    cell by cell into a "%s" field.
-    """
-    columns = list(dict.fromkeys(key for row in rows for key in row))
-    if not columns:
-        return "\n" * (len(rows) + 1)
+def columns_to_csv(columns: dict) -> str:
+    """Render named columns of equal length (lists, or numpy arrays) as CSV,
+    first line header.  Cells holding a comma, a quote, a newline or a
+    carriage return are quoted, as is the lone empty cell of a one-column
+    table; all others are written bare.  An all-float column (np.float64
+    included) enters each line through one "%.12g" field of a line format,
+    which prints nan and +-inf as `_format_cell` does and never a character
+    that needs quoting; any other column is formatted cell by cell."""
     formats, cells = [], []
-    for col in columns:
-        column = [row.get(col) for row in rows]
+    for column in columns.values():
+        if hasattr(column, "tolist"):
+            column = column.tolist()
         if all(issubclass(t, float) for t in set(map(type, column))):
             formats.append(FLOAT_FORMAT)
         else:
@@ -89,6 +83,15 @@ def rows_to_csv(rows: list) -> str:
         lines = [line or '""' for line in lines]
     lines.append("")
     return "\n".join(lines)
+
+
+def rows_to_csv(rows: list) -> str:
+    """`columns_to_csv` of dict rows: the union of keys in first-appearance
+    order, a missing key an empty cell."""
+    columns = dict.fromkeys(key for row in rows for key in row)
+    if not columns:
+        return "\n" * (len(rows) + 1)
+    return columns_to_csv({col: [row.get(col) for row in rows] for col in columns})
 
 
 def _json_default(value):

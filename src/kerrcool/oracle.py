@@ -83,13 +83,15 @@ def input_correlators(p: SystemParams, sq: SqueezeSpec | None = None,
     return c
 
 
-def transfer(dm: DynamicalMatrix, omega) -> np.ndarray:
-    """Response matrix T(w) = (M + i w I)^(-1) K mapping input noise
-    amplitudes to mode amplitudes, batched over a frequency array."""
+def transfer(dm: DynamicalMatrix, omega, left) -> np.ndarray:
+    """Row left^T T(w) of the response matrix T(w) = (M + i w I)^(-1) K,
+    which maps input noise amplitudes to mode amplitudes, batched over a
+    frequency array: shape (n, 4).  It is one solve with (M + i w I)^T
+    against `left`, scaled by the diagonal of K."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    lhs = dm.m[None, :, :] + 1j * omega[:, None, None] * _IDENT[None, :, :]
+    lhs = dm.m.T[None, :, :] + 1j * omega[:, None, None] * _IDENT[None, :, :]
     try:
-        return np.linalg.solve(lhs, dm.k.astype(complex))
+        return np.linalg.solve(lhs, np.asarray(left, dtype=complex)) * np.diag(dm.k)
     except np.linalg.LinAlgError as exc:
         raise InstabilityError(f"singular response at some frequency: {exc}") from exc
 
@@ -112,22 +114,21 @@ def numeric_spectrum(dm: DynamicalMatrix, correlators: np.ndarray,
     (d, d+, b, b+) -> (d+, d, b+, b), and K is real, diagonal and
     unchanged by P, so T(-w) = (M - i w I)^(-1) K = P conj(T(w)) P: row
     i of T(-w) is the conjugate of row P(i) of T(w) with its columns
-    permuted by P.  Only the rows the contraction needs are formed.
+    permuted by P.  Only the row the contraction needs is solved for.
     """
     if not dm.is_stable():
         raise InstabilityError("dynamical matrix has an eigenvalue with Re >= 0")
     grid = np.asarray(grid, dtype=float)
-    t_pos = transfer(dm, grid)
     if pair in ("nn", "ff"):
         ph = cmath.exp(-1j * dm.ss.phi_c)
-        w_pos = ph * t_pos[:, 0, :] + np.conj(ph) * t_pos[:, 1, :]
+        w_pos = transfer(dm, grid, [ph, ph.conjugate(), 0.0, 0.0])
         # ph T(-w)[0] + conj(ph) T(-w)[1] = conj(conj(ph) T(w)[1] + ph T(w)[0]) P
         w_neg = np.conj(w_pos[:, _ADJOINT])
         values = dm.ss.n_c * _contract(w_pos, w_neg, correlators)
         if pair == "ff":
             values = dm.p.g0 ** 2 * values
     elif pair == "bb":
-        row_b = t_pos[:, 2, :]
+        row_b = transfer(dm, grid, _IDENT[2])
         # T(-w)[3] = conj(T(w)[2]) P
         values = _contract(np.conj(row_b[:, _ADJOINT]), row_b, correlators)
     else:

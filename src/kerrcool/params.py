@@ -14,8 +14,8 @@ from .errors import ConfigError
 
 TAU = 2.0 * math.pi
 
-#: Exact SI values (2019 redefinition), bit-equal to `scipy.constants.hbar`
-#: and `scipy.constants.k`; scipy is not imported for two numbers.
+#: Exact SI values (2019 redefinition), written out rather than imported;
+#: tests/test_params.py pins them bit for bit.
 hbar = 6.62607015e-34 / TAU
 k_B = 1.380649e-23
 

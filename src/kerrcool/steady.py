@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPolicyError, InvariantError, LinearCavityError
+from .errors import BranchPolicyError, ConfigError, InvariantError, LinearCavityError
 from .params import (TAU, BranchPolicy, CRITICAL_POWER_FRACTION, OperatingPoint,
                      SystemParams)
 
@@ -238,10 +238,21 @@ def root_slopes(p: SystemParams, delta, n_c):
     return -2.0 * n_c * (delta + k_eff * n_c) / fp, p.kappa / fp
 
 
+def checked_drive(p: SystemParams, delta: float, n_in: float) -> float:
+    """n_in, or a ConfigError naming it where it is negative, not finite,
+    or overflows the photon cubic's resolvent at `delta` (at delta = 0,
+    above about 9.9e152 / (kappa K_eff) photons/s)."""
+    OperatingPoint(delta, n_in)
+    if not math.isfinite(_resolvent(effective_kerr(p), delta, p.kappa, n_in)[2]):
+        raise ConfigError(f"n_in must keep the photon cubic finite: {n_in!r} photons/s "
+                          f"overflows its resolvent at detuning {delta!r} rad/s")
+    return n_in
+
+
 def photon_branches(p: SystemParams, delta: float, n_in: float):
     """All real non-negative photon-number roots at (delta, n_in), sorted
     ascending, each tagged with its classical stability."""
-    OperatingPoint(delta, n_in)   # ConfigError for a negative or non-finite drive
+    checked_drive(p, delta, n_in)
     if n_in == 0.0:
         return [(0.0, True)]
     k_eff = effective_kerr(p)

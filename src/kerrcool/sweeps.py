@@ -142,8 +142,8 @@ def _occupation_lane(p: SystemParams, delta: float, n_in: float, xi: float = 0.0
 # 1-D searches: a bracket from a coarse grid or from end values, then
 # Brent's method on a root of an exact derivative
 
-#: Relative tolerance of every bracketed root: 4 eps, the least that
-#: scipy's `brentq` accepts; `_brent` transcribes its C code.
+#: Relative tolerance of every bracketed root: 4 eps, the least that the
+#: reference `brentq` accepts; `_brent` transcribes its C code.
 ROOT_RTOL = 4.0 * np.finfo(float).eps
 #: Iteration cap of every bracketed root (`brentq`'s default maxiter).
 ROOT_MAXITER = 100
@@ -151,10 +151,10 @@ ROOT_MAXITER = 100
 
 def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float):
     """Root of f in [xa, xb] by Brent's method (Algorithms for Minimization
-    without Derivatives, 1973), transcribed from scipy's `Zeros/brentq.c`:
-    the same xblk/spre/scur bookkeeping, the tolerance delta = (xtol +
-    rtol |x|)/2 and the cap of `ROOT_MAXITER` iterations, so the iterates
-    and the root are those of `scipy.optimize.brentq`.  fa = f(xa) and
+    without Derivatives, 1973), transcribed from the `brentq.c` that
+    tests/test_brent.py checks against: the same xblk/spre/scur bookkeeping,
+    the tolerance delta = (xtol + rtol |x|)/2 and the cap of `ROOT_MAXITER`
+    iterations, so the iterates and the root are the same.  fa = f(xa) and
     fb = f(xb) are nonzero and of opposite signs.  Returns (root,
     iterations); a NaN function value or the cap raises ConvergenceError."""
     xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
@@ -195,7 +195,7 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: flo
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
     """Root of f in [a, b] by Brent's method, in `_brent`'s transcription
-    of scipy's `brentq`, given fa = f(a) and fb = f(b), which are not
+    of the reference `brentq`, given fa = f(a) and fb = f(b), which are not
     evaluated again; None unless fa and fb differ in sign."""
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b

@@ -1,13 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import kerrcool as kc
-from kerrcool import cooling
-from kerrcool.cooling import (integrate_mech_spectrum, mechanical_poles,
-                              pole_moment_integrals_closed, quadrature_segments)
+from kerrcool import cooling, sweeps
+from kerrcool.cooling import integrate_mech_spectrum, mechanical_poles
 from kerrcool.errors import InstabilityError
 from kerrcool.params import TAU
 from kerrcool.steady import Branch, state_for_root
@@ -54,7 +54,7 @@ class TestMechNoiseSpectrum:
         lorentz = p.gamma_m * p.n_th / ((grid - p.omega_m) ** 2 + p.gamma_m ** 2 / 4)
         assert spec.values == pytest.approx(lorentz, rel=1e-9)
         value, _ = integrate_mech_spectrum(ss, p)
-        assert value == pytest.approx(p.n_th, rel=1e-4)
+        assert value == pytest.approx(p.n_th, rel=1e-12)
 
     def test_line_position_and_width(self, defaults, optimal_state):
         rep = kc.occupation(optimal_state, defaults)
@@ -101,55 +101,127 @@ def _oracle_states(p):
     return [kc.steady_at(p, TAU * dhz, frac * n_bi) for dhz, frac in ORACLE_POINTS]
 
 
-_float_evaluator = cooling._mech_spectrum_evaluator
+def _mp_occupation(ss, p):
+    """int dw/2pi S(w) of the spectrum of `_mech_spectrum_evaluator`, in
+    50-digit arithmetic, taking its float rates, Sigma_c[omega_m] and poles
+    as exact: 2 pi i times the residues at the poles in the upper half
+    plane, with each modulus |g(w)|^2 = g(w) conj(g)(w) of the numerator
+    and denominator continued analytically."""
+    _, rates, sigma = cooling._mech_spectrum_evaluator(ss, p)
+    plus, minus = map(complex, mechanical_poles(ss, p))
+    with mpmath.workdps(50):
+        gm, om, nth = mpmath.mpf(p.gamma_m), mpmath.mpf(p.omega_m), mpmath.mpf(p.n_th)
+        stokes, sg = mpmath.mpf(rates.gamma_stokes), mpmath.mpc(sigma)
+        thermal = gm / 2 - 1j * om + 1j * sg     # chi_m^{*-1}[-w] + i Sigma at w = 0
+        bare = gm / 2 - 1j * om
+
+        def numerator(z):
+            return (gm * nth * (thermal - 1j * z) * (mpmath.conj(thermal) + 1j * z)
+                    + gm * abs(sg) ** 2 * (nth + 1)
+                    + stokes * (bare - 1j * z) * (mpmath.conj(bare) + 1j * z))
+
+        poles = [mpmath.mpc(plus), mpmath.mpc(minus)]
+        poles += [mpmath.conj(z) for z in poles]
+        total = 0
+        for i, z in enumerate(poles):
+            if mpmath.im(z) > 0:
+                others = mpmath.fprod(z - w for j, w in enumerate(poles) if j != i)
+                total += numerator(z) / others
+        return float(mpmath.re(1j * total))
 
 
-def _numpy_scalar_evaluator(ss, p):
-    """The spectrum closure as it was before it took plain floats: every
-    argument through np.asarray, numpy's complex abs, numpy-scalar poles,
-    and a scalar result as float(0-d array)."""
-    _, rates, sigma = _float_evaluator(ss, p)
-    pole_plus, pole_minus = mechanical_poles(ss, p)
-
-    def values(grid):
-        grid = np.asarray(grid, dtype=float)
-        pole_factor = np.abs((grid - pole_plus) * (grid - pole_minus)) ** 2
-        chi_star_inv_neg = p.gamma_m / 2.0 - 1j * (grid + p.omega_m)
-        thermal = p.gamma_m * np.abs(chi_star_inv_neg + 1j * sigma) ** 2 * p.n_th
-        squeeze = p.gamma_m * abs(sigma) ** 2 * (p.n_th + 1.0)
-        backaction = np.abs(chi_star_inv_neg) ** 2 * rates.gamma_stokes
-        out = (thermal + squeeze + backaction) / pole_factor
-        return float(out) if out.ndim == 0 else out
-
-    return values, rates, sigma
+def _strong_coupling_states(defaults, count=12, ratio=10.0):
+    """Seeded lower-branch points where Gamma_opt exceeds `ratio` gamma_m:
+    g0/2pi 1.7-50 kHz, omega_m/kappa 0.05-0.35, detuning -2.5 to -0.3
+    kappa, drive 0.05 to 1 - 1e-7 of the bifurcation flux."""
+    out, seed = [], 0
+    while len(out) < count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        g0_hz = 10.0 ** rng.uniform(math.log10(1.7e3), math.log10(50e3))
+        p = sweeps.sideband_variant(defaults.replace(g0=TAU * g0_hz), rng.uniform(0.05, 0.35))
+        n_in = rng.uniform(0.05, 1.0 - 1e-7) * kc.bifurcation(p).n_in_bi
+        ss = kc.steady_at(p, -rng.uniform(0.3, 2.5) * p.kappa, n_in)
+        if kc.scattering_rates(ss, p).gamma_opt > ratio * p.gamma_m:
+            out.append((ss, p))
+    return out
 
 
-class TestQuadratureOnFloats:
-    def test_integral_matches_numpy_scalar_integrand(self, defaults, monkeypatch):
+#: Bound on the relative gap of the residue sum from `_mp_occupation`.  The
+#: largest seen is 4.0e-16 on the oracle points and 4.3e-16 on the
+#: strong-coupling points (Gamma_opt from 15 to 14,700 gamma_m), each under
+#: a quarter of the error estimate that `integrate_mech_spectrum` returns.
+RESIDUE_RTOL = 1e-14
+
+
+class TestResidueSum:
+    def test_oracle_points_against_50_digits(self, defaults):
         states = _oracle_states(defaults)
-        new = [integrate_mech_spectrum(ss, defaults)[0] for ss in states]
-        monkeypatch.setattr(cooling, "_mech_spectrum_evaluator", _numpy_scalar_evaluator)
-        old = [integrate_mech_spectrum(ss, defaults)[0] for ss in states]
-        assert np.max(np.abs(np.subtract(new, old)) / np.abs(old)) <= 1e-12
+        # Gamma_opt > gamma_m at the last point lifts Omega_- into the upper
+        # half plane; the other poles all lie in the lower one
+        for k, ss in enumerate(states):
+            plus, minus = mechanical_poles(ss, defaults)
+            assert plus.imag < 0.0 and (minus.imag > 0.0) == (k == 11)
+            value, err = integrate_mech_spectrum(ss, defaults)
+            exact = _mp_occupation(ss, defaults)
+            assert abs(value - exact) <= min(err, RESIDUE_RTOL * exact)
 
-    def test_float_and_array_arguments_agree(self, defaults):
-        # the two paths differ only in the complex modulus: numpy's and
-        # libm's hypot differ by up to 2 ulps, so each squared modulus by up
-        # to about 4, and the ratio of the two sums by up to about 12 (11
-        # ulps was the largest seen on 72,000 seeded frequencies)
-        rng = np.random.default_rng(31)
+    def test_strong_coupling_against_50_digits(self, defaults):
+        for ss, p in _strong_coupling_states(defaults):
+            value, err = integrate_mech_spectrum(ss, p)
+            exact = _mp_occupation(ss, p)
+            assert abs(value - exact) <= min(err, RESIDUE_RTOL * exact)
+
+    def test_windowed_quadrature_reads_low(self, defaults):
+        # scipy quad at 1e-6 relative over windows of 1e4 linewidths around
+        # both lines, trapezoid tails out to 20 kappa: the quadrature that
+        # the residue sum replaced.  It reads 1.04e-5 to 1.49e-5 low on the
+        # oracle points, which is the weight of the tails cut off at 20 kappa.
         for ss in _oracle_states(defaults):
             values, rates, sigma = cooling._mech_spectrum_evaluator(ss, defaults)
             center = defaults.omega_m - sigma.real
-            width = defaults.gamma_m + abs(rates.gamma_opt)
-            omegas = np.concatenate([center + width * rng.normal(0.0, 3.0, 20),
-                                     -center + width * rng.normal(0.0, 3.0, 20),
-                                     rng.uniform(-20.0, 20.0, 20) * defaults.kappa])
-            for w in omegas:
-                scalar = values(float(w))
-                assert type(scalar) is float
-                array = values(np.array([w]))[0]
-                assert abs(scalar - array) <= 16 * np.spacing(array)
+            half = 1e4 * (defaults.gamma_m + abs(rates.gamma_opt))
+            total = sum(quad(values, lo, lo + 2.0 * half, points=[lo + half], limit=400,
+                             epsrel=1e-6)[0] for lo in (-center - half, center - half))
+            tails = np.geomspace(center + half, 20.0 * defaults.kappa + center + half, 200)
+            total += sum(np.trapezoid(values(g), g) for g in (tails, -tails[::-1]))
+            exact, _ = integrate_mech_spectrum(ss, defaults)
+            assert 0.9e-5 <= 1.0 - total / (2.0 * math.pi * exact) <= 1.6e-5
+
+
+def _mp_moments(plus, minus):
+    """int dw/2pi w^k / |(w - plus)(w - minus)|^2, k = 0, 1, 2, by 50-digit
+    tanh-sinh quadrature split at the real parts of the poles."""
+    with mpmath.workdps(50):
+        poles = [mpmath.mpc(plus), mpmath.mpc(minus)]
+        points = [-mpmath.inf] + sorted({mpmath.re(z) for z in poles}) + [mpmath.inf]
+
+        def factor(w):
+            return mpmath.fprod(abs(w - z) ** 2 for z in poles)
+
+        return [float(mpmath.quad(lambda w: w ** k / factor(w), points) / (2 * mpmath.pi))
+                for k in range(3)]
+
+
+class TestExceptionalPoint:
+    # Omega_+ = Omega_- where omega_m^2 = 2 omega_m Sigma_c[omega_m]: a
+    # double pole, where a sum of simple-pole residues divides by about
+    # zero; the largest gap seen is 2.2e-16 relative
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-8, 1e-4, 0.3])
+    def test_moments_at_and_near_coincidence(self, defaults, eps):
+        gm = defaults.gamma_m
+        split = eps * gm * complex(1.0, -0.3)
+        plus, minus = -0.5j * gm + split, -0.5j * gm - split
+        got = cooling._pole_moments(plus, minus)
+        exact = _mp_moments(plus, minus)
+        assert got[0] == pytest.approx(exact[0], rel=1e-14, abs=0.0)
+        assert got[2] == pytest.approx(exact[2], rel=1e-14, abs=0.0)
+        # M1 vanishes at the coincidence; |M1| <= sqrt(M0 M2) sets its scale
+        assert abs(got[1] - exact[1]) <= 1e-14 * math.sqrt(exact[0] * exact[2])
+
+    def test_pole_on_the_real_axis_is_refused(self):
+        with pytest.raises(InstabilityError):
+            cooling._pole_moments(complex(2.0, -1.0), complex(-2.0, 0.0))
 
 
 class TestOccupation:
@@ -256,7 +328,9 @@ class TestResidueIntegrals:
         def factor(w):
             return abs((w - plus) * (w - minus)) ** 2
 
-        closed = pole_moment_integrals_closed(optimal_state, defaults)
+        # the exact moments; the quadrature stops at +-far, which cuts
+        # 2.9e-5 relative off the second
+        closed = cooling._pole_moments(complex(plus), complex(minus))
         width = defaults.gamma_m + kc.scattering_rates(optimal_state, defaults).gamma_opt
         far = abs(plus.real) + 2e4 * width
         import warnings
@@ -270,12 +344,3 @@ class TestResidueIntegrals:
                               points=[minus.real, plus.real], limit=2000,
                               epsrel=1e-12, epsabs=1e-30)
             assert val / (2 * math.pi) == pytest.approx(expected, rel=1e-4)
-
-
-def test_quadrature_segments_merge_overlapping_windows():
-    segs, edge = quadrature_segments(center=1.0, half=10.0)
-    assert len(segs) == 1
-    assert segs[0][0] == -11.0 and segs[0][1] == 11.0
-    segs, edge = quadrature_segments(center=10.0, half=1.0)
-    assert len(segs) == 2
-    assert segs[0][1] < segs[1][0]

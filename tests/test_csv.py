@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kerrcool.io import rows_to_csv
+from kerrcool.io import columns_to_csv, rows_to_csv
 
 
 def _old_format_cell(value) -> str:
@@ -105,11 +105,13 @@ class TestMatchesRowWriter:
             assert rows_to_csv(rows) == _old_rows_to_csv(rows) == "\n" * (len(rows) + 1)
 
     def test_spectrum_table(self):
+        # `spectrum` hands its arrays to columns_to_csv as they are
         grid = np.linspace(-1e8, 1e8, 2001)
         values = np.random.default_rng(3).lognormal(0.0, 30.0, 2001)
-        rows = [{"omega_rad_s": w, "s_nn": v, "oracle": v * (1 + 1e-13)}
-                for w, v in zip(grid, values)]
-        assert rows_to_csv(rows) == _old_rows_to_csv(rows)
+        columns = {"omega_rad_s": grid, "s_nn": values, "oracle": values * (1 + 1e-13),
+                   "index": np.arange(2001)}
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        assert columns_to_csv(columns) == rows_to_csv(rows) == _old_rows_to_csv(rows)
 
 
 _TEXT_CELLS = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\t;x1.')), max_size=8)

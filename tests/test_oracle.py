@@ -90,19 +90,36 @@ class TestBuildMatrix:
 
     def test_stacked_solves_equal_single_frequencies(self, defaults, optimal_state):
         # numeric_spectrum solves each grid as one stack; a stack must give
-        # every frequency's response and contraction bit for bit
+        # every frequency's response row and contraction bit for bit
         dm = kc.build_matrix(optimal_state, defaults)
         corr = kc.input_correlators(defaults)
         grid = np.geomspace(1e3, 20.0 * defaults.kappa, 50)
         grid = np.concatenate([grid, -grid])
-        stacked = oracle.transfer(dm, grid)
-        rows = stacked[:50], stacked[50:]
-        for n, w in enumerate(grid):
-            assert np.array_equal(stacked[n], oracle.transfer(dm, w)[0])
+        ph = np.exp(-1j * optimal_state.phi_c)
+        for left in (np.eye(4)[2], np.eye(4)[3], [ph, np.conj(ph), 0.0, 0.0]):
+            stacked = oracle.transfer(dm, grid, left)
+            for n, w in enumerate(grid):
+                assert np.array_equal(stacked[n], oracle.transfer(dm, w, left)[0])
+        rows = oracle.transfer(dm, grid, np.eye(4)[2]), oracle.transfer(dm, grid, np.eye(4)[3])
         for n in range(50):
-            single = np.einsum("i,j,ij->", rows[1][n, 3, :], rows[0][n, 2, :], corr)
-            batched = oracle._contract(rows[1][:, 3, :], rows[0][:, 2, :], corr)[n]
+            single = np.einsum("i,j,ij->", rows[1][50 + n], rows[0][n], corr)
+            batched = oracle._contract(rows[1][50:], rows[0][:50], corr)[n]
             assert single == batched
+
+    def test_left_row_is_the_row_of_the_full_response(self, defaults):
+        # left^T (M + i w I)^(-1) K against the inverse formed in 50 digits
+        rng = np.random.default_rng(75)
+        for dm, _ in _symmetry_cases(defaults)[::3]:
+            ph = np.exp(-1j * dm.ss.phi_c)
+            grid = rng.uniform(-4.0, 4.0, 5) * dm.p.kappa
+            for left in (np.eye(4)[2], [ph, np.conj(ph), 0.0, 0.0]):
+                got = oracle.transfer(dm, grid, left)
+                with mpmath.workdps(50):
+                    for n, w in enumerate(grid):
+                        inv = (mpmath.matrix(dm.m.tolist()) + 1j * w * mpmath.eye(4)) ** -1
+                        row = mpmath.matrix([[complex(x) for x in left]]) * inv
+                        exact = np.array([complex(row[j]) * dm.k[j, j] for j in range(4)])
+                        assert np.max(np.abs(got[n] - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_adjoint_symmetry_is_exact(self, defaults):
         # M = P conj(M) P bit for bit, P swapping (d, d+) and (b, b+): the
@@ -286,13 +303,14 @@ def _symmetry_cases(defaults):
 
 def _two_solve_spectrum(dm, corr, pair, grid):
     """numeric_spectrum with separate response solves at +w and -w."""
-    t_pos, t_neg = oracle.transfer(dm, grid), oracle.transfer(dm, -grid)
     if pair == "bb":
-        values = oracle._contract(t_neg[:, 3, :], t_pos[:, 2, :], corr)
+        eye = np.eye(4)
+        values = oracle._contract(oracle.transfer(dm, -grid, eye[3]),
+                                  oracle.transfer(dm, grid, eye[2]), corr)
     else:
         ph = np.exp(-1j * dm.ss.phi_c)
-        w_pos = ph * t_pos[:, 0, :] + np.conj(ph) * t_pos[:, 1, :]
-        w_neg = ph * t_neg[:, 0, :] + np.conj(ph) * t_neg[:, 1, :]
+        left = [ph, np.conj(ph), 0.0, 0.0]
+        w_pos, w_neg = oracle.transfer(dm, grid, left), oracle.transfer(dm, -grid, left)
         values = dm.ss.n_c * oracle._contract(w_pos, w_neg, corr)
         if pair == "ff":
             values = dm.p.g0 ** 2 * values

@@ -335,6 +335,14 @@ class TestCli:
                 assert run_cli([*command, *drive]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("config error: n_in must be >= 0") and "Traceback" not in err
+        # a finite drive that overflows the resolvent of the photon cubic
+        for argv in (["steady", "--n-in", "1e200"], ["poles", "--n-in", "1e308"],
+                     ["cool", "--n-in", "1e200"], ["squeeze", "--xi", "0.5", "--n-in", "1e200"]):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: n_in must keep the photon cubic finite")
+            assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
         # malformed numbers in a sweep spec
         spec = tmp_path / "bad.spec"
         for text, key in (("omega_frac = a, 0.2, 2\n", "axis start"),
@@ -496,16 +504,26 @@ class TestCli:
             assert "Traceback" not in capsys.readouterr().err
 
     def test_commands_load_no_scipy(self, tmp_path):
-        # the package and the reproduce targets start on numpy alone; scipy
-        # is imported only by `integrate_mech_spectrum`, and no sweep starts
-        # a process pool, whatever --jobs says
+        # the package, the reproduce targets and the oracle round run on
+        # numpy alone, and no sweep starts a process pool, whatever --jobs says
         out, fig6 = tmp_path / "table-values.json", tmp_path / "fig6.csv"
+        oracle = tmp_path / "oracle.txt"
+        at = "'--detuning-hz', '-4.1e6', '--n-in-frac', '0.5', '--out', out"
         script = (
             "import json, sys\n"
             "import kerrcool, kerrcool.cli\n"
             f"code = kerrcool.cli.run_cli(['reproduce', 'table-values', '--out', {str(out)!r}])\n"
             "code += kerrcool.cli.run_cli(['reproduce', 'fig6', '--points', '3', '--jobs', '2',\n"
             f"    '--out', {str(fig6)!r}])\n"
+            f"out = {str(oracle)!r}\n"
+            f"code += kerrcool.cli.run_cli(['cool', '--oracle', '--format', 'json', {at}])\n"
+            "for kind in (['nn'], ['bb'], ['ff', '--xi', '0.9']):\n"
+            "    code += kerrcool.cli.run_cli(['spectrum', '--oracle', '--points', '51',\n"
+            f"                                  '--kind', *kind, {at}])\n"
+            "p = kerrcool.default_params()\n"
+            "ss = kerrcool.steady_at(p, -2e7, 0.5 * kerrcool.bifurcation(p).n_in_bi)\n"
+            "value, err = kerrcool.integrate_mech_spectrum(ss, p)\n"
+            "code += not 0.0 < err < 1e-12 * value\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy'\n"
             "    or m.startswith('scipy.') or m == 'concurrent.futures.process')]))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
@@ -516,6 +534,7 @@ class TestCli:
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
         assert json.loads(out.read_text())
         assert fig6.read_text().startswith("g0_hz,")
+        assert oracle.read_text().startswith("omega_rad_s,s_ff,oracle\n")
 
     def test_module_entry_point_runs_without_scipy(self):
         # `python -m kerrcool` runs from a checkout with PYTHONPATH=src;
