@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateSpectrumError, InstabilityError,
-                     InvariantError)
+from .errors import DegenerateSpectrumError, InstabilityError, InvariantError
 from .params import SystemParams
-from .steady import SteadyState, lower_root
+from .steady import SteadyState
 from . import steady as _steady
 
 
@@ -207,57 +206,51 @@ def pole_columns(p: SystemParams, delta, n_c):
             -0.5 * p.kappa - decay, region)
 
 
-#: Detuning samples scanned for the sign changes that bracket each
-#: exceptional point.
-EP_PROBES = 2048
-
-
-def exceptional_points(p: SystemParams, n_in: float, bracket=(None, None)):
+def exceptional_points(p: SystemParams, n_in: float):
     """Self-consistent detunings where the spectrum poles coalesce.
 
-    Solves Delta = -(2 +- 1) K n_c(Delta) along the lower branch by scanning
-    `EP_PROBES` points for sign changes and taking a Brent root in each.
-    Returns (delta_minus, delta_plus) with delta_minus the -|Lambda|
-    crossing (closer to resonance) and delta_plus the -3|Lambda| one; either
-    entry is None when no sign change exists at this drive, and both are
-    None without intrinsic Kerr or without drive.
-    """
-    from .sweeps import _bracketed_root
+    The poles meet where Delta = -m |Lambda| = -m K n_c, m = 1 or 3.  Put
+    into the photon cubic, that leaves (K_eff - mK)^2 n^3 + (kappa^2/4) n
+    = kappa n_in, increasing in n, with one positive root n*.  Scaled by
+    n = n0 x, n0 = 4 n_in/kappa and eps = 4 (K_eff - mK)^2 n0^2/kappa^2,
+    it reads eps x^3 + x - 1 = 0, whose root
+    x = 2 sinh(asinh(1.5 sqrt(3 eps))/3) / sqrt(3 eps), x = 1 at eps = 0,
+    neither cancels nor overflows.  Delta* = -mK n* counts only where n*
+    is the lowest root of the photon cubic at Delta* (the lower branch)
+    and Delta* lies in (-10 kappa, -1e-6 kappa).
 
-    if n_in < 0:
-        raise ValueError(f"exceptional points need a drive n_in >= 0, got {n_in!r}")
+    Returns (delta_minus, delta_plus), the m = 1 point (closer to
+    resonance) and the m = 3 one; either is None where it does not count,
+    and both are None without intrinsic Kerr or without drive.  A ConfigError
+    names a drive that `steady.checked_drive` refuses.
+    """
+    _steady.checked_drive(p, 0.0, n_in)
     if p.kerr == 0.0 or n_in == 0.0:
         # |Lambda| = K n_c vanishes: the poles never coalesce
         return None, None
-    lo = bracket[0] if bracket[0] is not None else -10.0 * p.kappa
-    hi = bracket[1] if bracket[1] is not None else -1e-6 * p.kappa
-    deltas = np.linspace(lo, hi, EP_PROBES)
-    # the scan only brackets sign changes; the Brent iterates use lower_root
-    n_c = _steady._lower_closed_form(p, deltas, n_in)
-
+    k_eff = _steady.effective_kerr(p)
+    n0 = 4.0 * n_in / p.kappa
     out = []
-    for mult in (1.0, 3.0):
-        h_grid = deltas + mult * p.kerr * n_c
-        sign_change = np.nonzero(np.diff(np.sign(h_grid)) != 0)[0]
-        if len(sign_change) == 0:
-            out.append(None)
-            continue
-        i = sign_change[-1]  # crossing nearest resonance
-        a, b = float(deltas[i]), float(deltas[i + 1])
-
-        def h(delta):
-            return delta + mult * p.kerr * lower_root(p, delta, n_in)
-
-        delta = _bracketed_root(h, a, b, h(a), h(b))
-        # a jump of the lower branch inside the bracket changes the sign
-        # of h without a root
-        residual = math.inf if delta is None else h(delta)
-        if abs(residual) > 1e-6 * p.kappa:
-            raise ConvergenceError(
-                f"exceptional-point residual {residual:.3e} above 1e-6*kappa"
-            )
-        out.append(delta)
+    for m in (1.0, 3.0):
+        # sqrt(3 eps), unsquared so that it cannot overflow first
+        s = math.sqrt(3.0) * abs(2.0 * (k_eff - m * p.kerr) * n0 / p.kappa)
+        n = n0 if s == 0.0 else n0 * (2.0 * math.sinh(math.asinh(1.5 * s) / 3.0) / s)
+        delta = -m * p.kerr * n
+        out.append(delta if -10.0 * p.kappa < delta < -1e-6 * p.kappa
+                   and _is_lowest_root(k_eff, delta, p.kappa, n_in, n) else None)
     return out[0], out[1]
+
+
+def _is_lowest_root(k_eff: float, delta: float, kappa: float, n_in: float, n: float) -> bool:
+    """Whether the positive root n of the photon cubic at delta is its
+    lowest real root.  The other two roots n2 <= n3 have the sum and
+    product below, by Vieta; n is the lowest unless they are real and
+    n2 < n, and n2 >= n holds where total >= 2n and
+    (n - n2)(n - n3) = n^2 - total n + product >= 0."""
+    total = -2.0 * delta / k_eff - n
+    product = kappa * n_in / (k_eff * k_eff * n)
+    return (total * total < 4.0 * product
+            or (total >= 2.0 * n and n * n - total * n + product >= 0.0))
 
 
 def skewness(spec: Spectrum) -> float:

@@ -58,7 +58,11 @@ class SelfEnergy:
 def mechanical_poles(ss: SteadyState, p: SystemParams):
     """Poles Omega_m,+- = -i gamma_m/2 +- sqrt(omega_m^2 - 2 omega_m Sigma_c[omega_m])
     of the simplified mechanical noise spectrum."""
-    sigma = complex(cavity_self_energy(ss, p, p.omega_m))
+    return _poles_at(p, complex(cavity_self_energy(ss, p, p.omega_m)))
+
+
+def _poles_at(p: SystemParams, sigma: complex):
+    """`mechanical_poles` given sigma = Sigma_c[omega_m]."""
     root = np.sqrt(complex(p.omega_m ** 2 - 2.0 * p.omega_m * sigma))
     base = -0.5j * p.gamma_m
     return (base + root, base - root)
@@ -74,35 +78,32 @@ def check_net_damping(p: SystemParams, gamma_opt: float):
         )
 
 
-def _mech_spectrum_evaluator(ss: SteadyState, p: SystemParams):
-    """Closure evaluating the weak-coupling mechanical spectrum on a float
-    array, with the scattering rates and Sigma_c[omega_m] it is built on.
-    InstabilityError on net anti-damping."""
+def _mech_response(ss: SteadyState, p: SystemParams):
+    """The scattering rates, Sigma_c[omega_m] and the mechanical poles of
+    one state, each computed once.  InstabilityError on net anti-damping."""
     rates = scattering_rates(ss, p)
     check_net_damping(p, rates.gamma_opt)
     sigma = complex(cavity_self_energy(ss, p, p.omega_m))
-    pole_plus, pole_minus = map(complex, mechanical_poles(ss, p))
-
-    def values(grid):
-        pole_factor = abs((grid - pole_plus) * (grid - pole_minus)) ** 2
-        chi_star_inv_neg = p.gamma_m / 2.0 - 1j * (grid + p.omega_m)  # chi_m^{*-1}[-w]
-        thermal = p.gamma_m * abs(chi_star_inv_neg + 1j * sigma) ** 2 * p.n_th
-        squeeze = p.gamma_m * abs(sigma) ** 2 * (p.n_th + 1.0)
-        backaction = abs(chi_star_inv_neg) ** 2 * rates.gamma_stokes
-        return (thermal + squeeze + backaction) / pole_factor
-
-    return values, rates, sigma
+    return rates, sigma, _poles_at(p, sigma)
 
 
 def mech_noise_spectrum(ss: SteadyState, p: SystemParams, grid) -> Spectrum:
     """Mechanical noise spectrum in the weak-coupling, high-Q form: thermal
     and vacuum-squeezing terms dressed by the modified poles plus the cavity
-    backaction noise proportional to the Stokes rate."""
+    backaction noise proportional to the Stokes rate.  The numerator stays
+    a sum of moduli: expanded into a quadratic in omega it cancels near the
+    mechanical peak."""
     if p.g0 > 0.1 * p.kappa:
         warnings.warn("weak-coupling form used outside kappa >> g0", stacklevel=2)
-    values, _, _ = _mech_spectrum_evaluator(ss, p)
+    rates, sigma, poles = _mech_response(ss, p)
+    pole_plus, pole_minus = map(complex, poles)
     grid = np.asarray(grid, dtype=float)
-    return Spectrum(grid=grid, values=values(grid))
+    pole_factor = abs((grid - pole_plus) * (grid - pole_minus)) ** 2
+    chi_star_inv_neg = p.gamma_m / 2.0 - 1j * (grid + p.omega_m)  # chi_m^{*-1}[-w]
+    thermal = p.gamma_m * abs(chi_star_inv_neg + 1j * sigma) ** 2 * p.n_th
+    squeeze = p.gamma_m * abs(sigma) ** 2 * (p.n_th + 1.0)
+    backaction = abs(chi_star_inv_neg) ** 2 * rates.gamma_stokes
+    return Spectrum(grid=grid, values=(thermal + squeeze + backaction) / pole_factor)
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,7 @@ def occupation(ss: SteadyState, p: SystemParams) -> CoolingReport:
     Raises InstabilityError on net anti-damping.  The two forms are
     algebraically identical; both are reported as a cross-check.
     """
-    rates = scattering_rates(ss, p)
-    check_net_damping(p, rates.gamma_opt)
-    sigma = complex(cavity_self_energy(ss, p, p.omega_m))
+    rates, sigma, poles = _mech_response(ss, p)
     delta_eff = ss.delta_eff
     c_eff = rates.c_eff
 
@@ -172,7 +171,7 @@ def occupation(ss: SteadyState, p: SystemParams) -> CoolingReport:
         n_backaction=n_ba,
         thermal_share=p.gamma_m * p.n_th / (p.gamma_m + rates.gamma_opt),
         backaction_share=rates.gamma_stokes / (p.gamma_m + rates.gamma_opt),
-        mech_poles=mechanical_poles(ss, p),
+        mech_poles=poles,
     )
 
 
@@ -224,13 +223,13 @@ def integrate_mech_spectrum(ss: SteadyState, p: SystemParams):
     a M2 + b M1 + c M0 over the `_pole_moments` of the mechanical poles.
     Returns (value, error_estimate), the estimate a rounding bound of
     8 eps times the summed magnitudes of the three terms."""
-    _, rates, sigma = _mech_spectrum_evaluator(ss, p)
+    rates, sigma, poles = _mech_response(ss, p)
     gm, om, nth, gs = p.gamma_m, p.omega_m, p.n_th, rates.gamma_stokes
     shift = om - sigma.real
     a = gm * nth + gs
     b = 2.0 * (gm * nth * shift + gs * om)
     c = (gm * nth * ((0.5 * gm - sigma.imag) ** 2 + shift * shift)
          + gm * abs(sigma) ** 2 * (nth + 1.0) + gs * (0.25 * gm * gm + om * om))
-    m0, m1, m2 = _pole_moments(*map(complex, mechanical_poles(ss, p)))
+    m0, m1, m2 = _pole_moments(*map(complex, poles))
     terms = (a * m2, b * m1, c * m0)
     return sum(terms), 8.0 * np.finfo(float).eps * sum(map(abs, terms))

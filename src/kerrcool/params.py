@@ -114,6 +114,14 @@ def bath_temperature(omega: float, n_th: float) -> float:
     return hbar * omega / (k_B * math.log1p(1.0 / n_th))
 
 
+def _config_number(document: dict, key: str) -> float:
+    """float(document[key]), or a ConfigError naming the key."""
+    try:
+        return float(document[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key} is not a number: {document[key]!r}") from exc
+
+
 def params_from_config(document: dict) -> SystemParams:
     """Build validated SystemParams from a flat key-value document.
 
@@ -127,27 +135,16 @@ def params_from_config(document: dict) -> SystemParams:
     for key in ("f_m", "gamma_m", "kappa", "kerr", "g0"):
         if key not in document:
             raise ConfigError(f"missing config key: {key}")
-        try:
-            values[key] = float(document[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key} is not a number: {document[key]!r}") from exc
+        values[key] = _config_number(document, key)
         if key in positive and not values[key] > 0:
             raise ConfigError(f"config key {key} must be > 0, got {values[key]!r}")
         if not (values[key] >= 0 and math.isfinite(values[key])):
             raise ConfigError(f"config key {key} must be >= 0 and finite, got {values[key]!r}")
 
     if "n_th" in document:
-        try:
-            n_th = float(document["n_th"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key n_th is not a number: {document['n_th']!r}") from exc
+        n_th = _config_number(document, "n_th")
     elif "temperature_K" in document:
-        try:
-            temp = float(document["temperature_K"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"config key temperature_K is not a number: {document['temperature_K']!r}"
-            ) from exc
+        temp = _config_number(document, "temperature_K")
         if temp < 0:
             raise ConfigError(f"temperature_K must be >= 0, got {temp!r}")
         n_th = bose_occupation(TAU * values["f_m"], temp)

@@ -23,8 +23,7 @@ path and `cubic_discriminant_rel` build on `_resolvent`:
 
 * The ranking grid (`_lower_closed_form`): Cardano everywhere, and Viete's
   k = 1 only where D <= 0, unpolished.  It serves grids that only pick a
-  bracket or a cell for the optimizers, and the sign-change scan of
-  `cavity.exceptional_points`; none of its roots is reported.
+  bracket or a cell for the optimizers; none of its roots is reported.
 * The reported grid (`lower_branch_array`): the ranking grid plus the
   vector `_newton_polish`; it serves the columns of detuning profiles.
 * The scalar path (`_real_roots`, `_polish_root`, `lower_root`,

@@ -54,6 +54,11 @@ class SweepKind(enum.Enum):
     GROUND_STATE_MAP = "ground_state_map"
 
 
+#: The sweep kinds whose rows do not depend on a squeezing purity xi.
+_UNSQUEEZED_KINDS = (SweepKind.DETUNING_PROFILE, SweepKind.COUPLING_SWEEP,
+                     SweepKind.OPTIMAL_POWER_CURVE)
+
+
 class Mode(enum.Enum):
     NONLINEAR = "nonlinear"
     LINEAR_COMPARISON = "linear_comparison"
@@ -95,6 +100,9 @@ class SweepSpec:
             raise ConfigError(f"cap_fraction must be in (0, 1], got {self.cap_fraction}")
         if self.squeeze_xi is not None and not 0.0 <= self.squeeze_xi <= 1.0:
             raise ConfigError(f"xi must be in [0, 1], got {self.squeeze_xi}")
+        if self.squeeze_xi is not None and self.kind in _UNSQUEEZED_KINDS:
+            raise ConfigError(f"sweep kind {self.kind.value} takes no xi, "
+                              f"got xi = {self.squeeze_xi}")
 
 
 # ----------------------------------------------------------------------
@@ -665,11 +673,11 @@ _KINDS = {
     SweepKind.DETUNING_PROFILE: _profile_rows,
     SweepKind.COUPLING_SWEEP: lambda s, p: [
         _coupling_row(p, g0, s.cap_fraction) for g0 in _g0_values(s)],
-    SweepKind.SIDEBAND_SWEEP: lambda s, p: [
-        _sideband_row(p, w, s.mode, s.cap_fraction, 0.0) for w in _omega_values(s)],
-    SweepKind.SIDEBAND_SWEEP_SQUEEZED: lambda s, p: [
-        _sideband_row(p, w, s.mode, s.cap_fraction, s.squeeze_xi or 0.0)
-        for w in _omega_values(s)],
+    # one kind under two names, which spec files use both
+    **dict.fromkeys((SweepKind.SIDEBAND_SWEEP, SweepKind.SIDEBAND_SWEEP_SQUEEZED),
+                    lambda s, p: [_sideband_row(p, w, s.mode, s.cap_fraction,
+                                                s.squeeze_xi or 0.0)
+                                  for w in _omega_values(s)]),
     SweepKind.OPTIMAL_POWER_CURVE: lambda s, p: [
         _power_row(p, w, s.mode, s.cap_fraction) for w in _omega_values(s)],
     SweepKind.GROUND_STATE_MAP: _map_rows,

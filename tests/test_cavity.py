@@ -8,7 +8,7 @@ import kerrcool as kc
 from kerrcool import sweeps
 from kerrcool.cavity import (PoleRegion, SkewnessWorkspace, Spectrum,
                              photon_spectrum_values, skewness_grid, spectrum_denominator)
-from kerrcool.errors import DegenerateSpectrumError, InstabilityError
+from kerrcool.errors import ConfigError, DegenerateSpectrumError, InstabilityError
 from kerrcool.params import TAU
 from kerrcool.steady import Branch, state_for_root
 
@@ -126,6 +126,61 @@ class TestCavityPoles:
         assert not kc.cavity_poles(ss, defaults).at_decay_extremum
 
 
+#: Drive fractions of the bifurcation flux at which the exceptional points
+#: are pinned, from far below to far above bifurcation.
+EP_DRIVES = (1e-6, 1e-3, 0.05, 0.5, 1.0 - 1e-7, 1.0, 1.5, 3.0, 10.0)
+#: Bound on the relative gap of an exceptional point from the 50-digit
+#: root; the largest seen on 150 seeded systems at the `EP_DRIVES` is 5.2e-16.
+EP_RTOL = 2e-15
+
+
+def _ep_systems(defaults, count=24):
+    """The default system, then seeded nonlinear systems: g0/2pi 1.7-50 kHz
+    and omega_m/kappa 0.02-2, log-uniform."""
+    rng = np.random.default_rng(5)
+    g0_hz = 10.0 ** rng.uniform(math.log10(1.7e3), math.log10(50e3), count)
+    omega_fracs = 10.0 ** rng.uniform(math.log10(0.02), math.log10(2.0), count)
+    return [defaults] + [sweeps.sideband_variant(defaults.replace(g0=TAU * g), w)
+                         for g, w in zip(g0_hz, omega_fracs)]
+
+
+def _check_against_mpmath(p, n_in):
+    """Assert `exceptional_points` at (p, n_in) against 50-digit roots:
+    each m-cubic (K_eff - mK)^2 n^3 + (kappa^2/4) n - kappa n_in = 0 by
+    Newton's method from n = 4 n_in / kappa, where it is convex and
+    increasing, and the photon cubic at Delta* = -mK n* by `polyroots`.  A
+    point inside the window is reported, to `EP_RTOL`, exactly where n* is
+    the lowest real root.  Returns, per point, whether it was dropped for
+    lying off the lowest root."""
+    found = kc.exceptional_points(p, n_in)
+    off_branch = []
+    with mpmath.workdps(50):
+        kerr, kappa, flux = mpmath.mpf(p.kerr), mpmath.mpf(p.kappa), mpmath.mpf(n_in)
+        om, gm = mpmath.mpf(p.omega_m), mpmath.mpf(p.gamma_m)
+        k_eff = kerr + 2 * mpmath.mpf(p.g0) ** 2 * om / (om ** 2 + gm ** 2 / 4)
+        for m, value in zip((1, 3), found):
+            a, c = (k_eff - m * kerr) ** 2, kappa ** 2 / 4
+            n = 4 * flux / kappa
+            for _ in range(200):
+                step = (a * n ** 3 + c * n - kappa * flux) / (3 * a * n ** 2 + c)
+                n -= step
+                if abs(step) <= mpmath.mpf(10) ** -45 * n:
+                    break
+            delta = -m * kerr * n
+            roots = mpmath.polyroots([k_eff ** 2, 2 * delta * k_eff, delta ** 2 + c,
+                                      -kappa * flux], maxsteps=200, extraprec=200)
+            lowest = min(mpmath.re(r) for r in roots
+                         if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -30 * abs(r))
+            on_branch = abs(lowest - n) <= mpmath.mpf(10) ** -20 * n
+            in_window = -10 * kappa < delta < -1e-6 * kappa
+            if on_branch and in_window:
+                assert value is not None and abs(value - delta) <= EP_RTOL * abs(delta)
+            else:
+                assert value is None
+            off_branch.append(in_window and not on_branch)
+    return off_branch
+
+
 class TestExceptionalPoints:
     def test_bracket_bifurcation_detuning(self, defaults, crit_drive):
         ep_minus, ep_plus = kc.exceptional_points(defaults, crit_drive)
@@ -145,11 +200,45 @@ class TestExceptionalPoints:
         assert -1e-3 * p.kappa < ep_minus < 0
 
     def test_missing_ep_reported_as_none(self, defaults):
-        # vanishing drive: |Lambda| -> 0 and the self-consistency curves
-        # have no crossing away from zero inside the bracket
-        ep_minus, ep_plus = kc.exceptional_points(
-            defaults, 1e-12, bracket=(-10 * defaults.kappa, -0.5 * defaults.kappa))
+        # vanishing drive: |Lambda| -> 0 and both points sit closer to
+        # resonance than the window's -1e-6 kappa
+        ep_minus, ep_plus = kc.exceptional_points(defaults, 1e-12)
         assert ep_minus is None and ep_plus is None
+
+    @pytest.mark.parametrize("frac", EP_DRIVES)
+    def test_seeded_against_50_digits(self, defaults, frac):
+        for p in _ep_systems(defaults):
+            _check_against_mpmath(p, frac * kc.bifurcation(p).n_in_bi)
+
+    def test_above_bifurcation_none_is_off_the_lowest_root(self, defaults):
+        # a None inside the window must be a point whose root is not the
+        # lowest of the photon cubic; at 1.5 times the bifurcation drive
+        # the -|Lambda| point of most seeded systems is one
+        systems = _ep_systems(defaults)
+        off_branch = sum(sum(_check_against_mpmath(p, 1.5 * kc.bifurcation(p).n_in_bi))
+                         for p in systems)
+        assert off_branch >= len(systems) // 2
+
+    @pytest.mark.parametrize("g0", (0.0, 1e-6))
+    def test_vanishing_mechanical_kerr(self, defaults, g0):
+        # at g0 = 0 the m = 1 cubic is linear: n* = 4 n_in / kappa
+        p = defaults.replace(g0=g0)
+        for frac in EP_DRIVES:
+            n_in = frac * kc.bifurcation(p).n_in_bi
+            _check_against_mpmath(p, n_in)
+            ep_minus = kc.exceptional_points(p, n_in)[0]
+            if g0 == 0.0 and ep_minus is not None:
+                assert ep_minus == -p.kerr * (4.0 * n_in / p.kappa)
+
+    def test_drive_checked(self, defaults):
+        for n_in in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="n_in must be >= 0 and finite"):
+                kc.exceptional_points(defaults, n_in)
+        # the largest drive whose resolvent stays finite at zero detuning
+        bound = 1.3e154 / (13.5 * defaults.kappa * kc.effective_kerr(defaults))
+        assert kc.exceptional_points(defaults, 0.5 * bound) == (None, None)
+        with pytest.raises(ConfigError, match="n_in must keep the photon cubic finite"):
+            kc.exceptional_points(defaults, 2.0 * bound)
 
 
 class TestSkewness:

@@ -102,13 +102,13 @@ def _oracle_states(p):
 
 
 def _mp_occupation(ss, p):
-    """int dw/2pi S(w) of the spectrum of `_mech_spectrum_evaluator`, in
-    50-digit arithmetic, taking its float rates, Sigma_c[omega_m] and poles
+    """int dw/2pi S(w) of `mech_noise_spectrum` in 50-digit arithmetic,
+    taking the float rates, Sigma_c[omega_m] and poles of `_mech_response`
     as exact: 2 pi i times the residues at the poles in the upper half
     plane, with each modulus |g(w)|^2 = g(w) conj(g)(w) of the numerator
     and denominator continued analytically."""
-    _, rates, sigma = cooling._mech_spectrum_evaluator(ss, p)
-    plus, minus = map(complex, mechanical_poles(ss, p))
+    rates, sigma, poles = cooling._mech_response(ss, p)
+    plus, minus = map(complex, poles)
     with mpmath.workdps(50):
         gm, om, nth = mpmath.mpf(p.gamma_m), mpmath.mpf(p.omega_m), mpmath.mpf(p.n_th)
         stokes, sg = mpmath.mpf(rates.gamma_stokes), mpmath.mpc(sigma)
@@ -178,7 +178,12 @@ class TestResidueSum:
         # the residue sum replaced.  It reads 1.04e-5 to 1.49e-5 low on the
         # oracle points, which is the weight of the tails cut off at 20 kappa.
         for ss in _oracle_states(defaults):
-            values, rates, sigma = cooling._mech_spectrum_evaluator(ss, defaults)
+            rates, sigma, _ = cooling._mech_response(ss, defaults)
+
+            def values(w, ss=ss):
+                out = cooling.mech_noise_spectrum(ss, defaults, np.atleast_1d(w)).values
+                return out if np.ndim(w) else float(out[0])
+
             center = defaults.omega_m - sigma.real
             half = 1e4 * (defaults.gamma_m + abs(rates.gamma_opt))
             total = sum(quad(values, lo, lo + 2.0 * half, points=[lo + half], limit=400,

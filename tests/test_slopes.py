@@ -440,41 +440,3 @@ class TestUnpolishedRanking:
         found = sweeps.optimal_detuning(p, n_in)
         assert found == _polished_optimal_detuning(p, n_in)
         assert found == (delta, sweeps._occupation_lane(p, delta, n_in)[0])
-
-
-def _polished_exceptional_points(p, n_in):
-    """`cavity.exceptional_points` with its sign-change scan on the
-    polished `lower_branch_array`; the Brent iterates are the same."""
-    deltas = np.linspace(-10.0 * p.kappa, -1e-6 * p.kappa, cavity.EP_PROBES)
-    n_c = steady.lower_branch_array(p, deltas, n_in)
-    out = []
-    for mult in (1.0, 3.0):
-        sign_change = np.nonzero(np.diff(np.sign(deltas + mult * p.kerr * n_c)) != 0)[0]
-        if len(sign_change) == 0:
-            out.append(None)
-            continue
-        a, b = float(deltas[sign_change[-1]]), float(deltas[sign_change[-1] + 1])
-
-        def h(delta):
-            return delta + mult * p.kerr * steady.lower_root(p, delta, n_in)
-
-        out.append(sweeps._bracketed_root(h, a, b, h(a), h(b)))
-    return tuple(out)
-
-
-#: Seeded nonlinear systems of the exceptional-point scan: couplings
-#: 1.7-50 kHz and omega_m/kappa 0.02-2 (log-uniform).
-_EP_SYSTEMS = 40
-_ep_rng = np.random.default_rng(12)
-_EP_G0_HZ = 10.0 ** _ep_rng.uniform(np.log10(1.7e3), np.log10(50e3), _EP_SYSTEMS)
-_EP_OMEGA_FRACS = 10.0 ** _ep_rng.uniform(np.log10(0.02), np.log10(2.0), _EP_SYSTEMS)
-
-
-@pytest.mark.parametrize("frac", (0.05, 0.5, 1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-12))
-def test_exceptional_points_equal_polished_scan(defaults, frac):
-    # the scan only brackets sign changes, so ranking it on the unpolished
-    # closed form leaves both exceptional points bit for bit
-    for g0_hz, omega_frac in zip(_EP_G0_HZ, _EP_OMEGA_FRACS):
-        p = _system(defaults, omega_frac, False, g0_hz)
-        n_in = frac * steady.bifurcation(p).n_in_bi
-        assert cavity.exceptional_points(p, n_in) == _polished_exceptional_points(p, n_in)

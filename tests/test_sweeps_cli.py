@@ -442,6 +442,35 @@ class TestCli:
         assert payload["ep_delta_minus_rad_s"] is None
         assert payload["ep_delta_plus_rad_s"] is None
 
+    @pytest.mark.parametrize("frac", ("1.5", "3", "10"))
+    def test_poles_above_bifurcation(self, capsys, frac):
+        # above the bifurcation drive the lower branch jumps; the -|Lambda|
+        # point leaves it, and poles still writes strict JSON
+        assert run_cli(["poles", "--n-in-frac", frac, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def refuse(constant):
+            raise ValueError(f"non-finite number {constant} in JSON")
+
+        payload = json.loads(captured.out, parse_constant=refuse)
+        assert payload["ep_delta_minus_rad_s"] is None
+        assert payload["ep_delta_plus_rad_s"] is None or payload["ep_delta_plus_rad_s"] < 0
+
+    def test_exceptional_points_leave_sweeps_unloaded(self):
+        script = ("import sys\n"
+                  "import kerrcool\n"
+                  "p = kerrcool.default_params()\n"
+                  "ep = kerrcool.exceptional_points(p, kerrcool.critical_power(p))\n"
+                  "assert None not in ep, ep\n"
+                  "print('kerrcool.sweeps' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.split() == ["False"]
+
     def test_squeeze_command(self, capsys):
         assert run_cli(["squeeze", "--xi", "0.9", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -457,6 +486,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("omega_frac")
         assert len(out.splitlines()) == 4
+
+    def test_sweep_spec_xi(self, tmp_path, capsys):
+        # a sideband sweep under either name honours the spec's xi
+        spec = tmp_path / "sweep.cfg"
+        outputs = []
+        for kind in ("sideband_sweep", "sideband_sweep_squeezed"):
+            spec.write_text(f"kind = {kind}\nomega_frac = 0.08, 0.2, 2\nxi = 0.9\n")
+            assert run_cli(["sweep", str(spec)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        header = outputs[0].splitlines()[0].split(",")
+        assert {"wp", "squeeze_db", "n_ba_min_squeezed"} <= set(header)
+        # the kinds that take no xi refuse it by name
+        for kind, axis in (("detuning_profile", "detuning_hz = -1e6, -1e5, 2"),
+                           ("coupling_sweep", "g0_hz = 2e3, 4e3, 2"),
+                           ("optimal_power_curve", "omega_frac = 0.08, 0.2, 2")):
+            spec.write_text(f"kind = {kind}\n{axis}\nxi = 0.5\n")
+            assert run_cli(["sweep", str(spec)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: sweep kind {kind} takes no xi, got xi = 0.5\n"
 
     @pytest.mark.parametrize("kind", ["sideband_sweep", "optimal_power_curve"])
     def test_invalid_omega_stays_in_its_row(self, tmp_path, capsys, kind):
