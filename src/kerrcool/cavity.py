@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InstabilityError, InvariantError
+from .errors import DegenerateSpectrumError, DomainError, InstabilityError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
 from . import steady as _steady
@@ -32,9 +32,9 @@ class Spectrum:
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be matching 1-D arrays")
+            raise DomainError("grid and values must be matching 1-D arrays")
         if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise DomainError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 

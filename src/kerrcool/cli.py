@@ -227,8 +227,16 @@ def _parse_axis(raw: str) -> AxisRange:
                      _spec_number(int, parts[2], "axis count"), scale)
 
 
+#: Every key a sweep spec may set; any other key is a config error.
+SPEC_KEYS = ("kind", "mode", "detuning_hz", "g0_hz", "omega_frac", "xi", "cap_fraction")
+
+
 def spec_from_document(doc: dict) -> SweepSpec:
     """Build a SweepSpec from a flat key-value document."""
+    unknown = [key for key in doc if key not in SPEC_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown sweep spec key {', '.join(map(repr, unknown))}; "
+                          f"known keys: {', '.join(SPEC_KEYS)}")
     if "kind" not in doc:
         raise ConfigError("sweep spec needs a 'kind' key")
     try:

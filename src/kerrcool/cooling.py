@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import RateReport, Spectrum, scattering_rates
-from .errors import InstabilityError
+from .errors import DomainError, InstabilityError
 from .params import SystemParams
 from .steady import SteadyState
 
@@ -179,7 +179,7 @@ def backaction_limit(p: SystemParams, delta_eff: float) -> float:
     """Residual occupation from cavity noise at infinite cooperativity:
     ((omega_m - Delta_eff)^2 + kappa^2/4) / (4 omega_m Delta_eff)."""
     if delta_eff <= 0:
-        raise ValueError(f"backaction limit needs Delta_eff > 0, got {delta_eff!r}")
+        raise DomainError(f"backaction limit needs Delta_eff > 0, got {delta_eff!r}")
     return ((p.omega_m - delta_eff) ** 2 + p.kappa ** 2 / 4.0) / (4.0 * p.omega_m * delta_eff)
 
 

@@ -29,6 +29,13 @@ class DegenerateSpectrumError(KerrcoolError, ValueError):
     skewness is undefined."""
 
 
+class DomainError(KerrcoolError, ValueError):
+    """An argument outside the domain of the quantity asked for: a spectrum
+    grid that is not a strictly increasing 1-D array matching its values,
+    an unknown spectrum pair, a heating-side Delta_eff, or a DPA at or
+    above threshold."""
+
+
 class ConvergenceError(KerrcoolError):
     """Iterative routine (a Brent root) failed to converge."""
 

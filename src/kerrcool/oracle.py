@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import Spectrum
-from .errors import InstabilityError
+from .errors import DomainError, InstabilityError
 from .params import SystemParams
 from .squeezing import SqueezeSpec
 from .steady import SteadyState
@@ -132,7 +132,7 @@ def numeric_spectrum(dm: DynamicalMatrix, correlators: np.ndarray,
         # T(-w)[3] = conj(T(w)[2]) P
         values = _contract(np.conj(row_b[:, _ADJOINT]), row_b, correlators)
     else:
-        raise ValueError(f"unknown spectrum pair {pair!r}")
+        raise DomainError(f"unknown spectrum pair {pair!r}")
     values = np.real_if_close(values, tol=1e6)
     return Spectrum(grid=grid, values=np.real(values))
 

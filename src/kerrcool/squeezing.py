@@ -18,7 +18,7 @@ import numpy as np
 
 from .cavity import photon_spectrum_values, spectrum_denominator
 from .cooling import CoolingReport, check_net_damping, occupation
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, DomainError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
 
@@ -30,7 +30,7 @@ def correlators_from_chi(kappa: float, chi_abs: float):
     N_s = (k+^2 - k-^2)^2 / (4 k+^2 k-^2), M_s = (k+^4 - k-^4) / (4 k+^2 k-^2)
     with k_+- = kappa/2 +- |chi|."""
     if not 0.0 <= chi_abs < kappa / 2.0:
-        raise ValueError(
+        raise DomainError(
             f"DPA below threshold requires 0 <= |chi| < kappa/2, got |chi|={chi_abs!r}"
         )
     kp2 = (kappa / 2.0 + chi_abs) ** 2

@@ -98,14 +98,15 @@ class BifurcationData:
 
 
 def effective_kerr(p: SystemParams) -> float:
-    """Intrinsic Kerr plus the optomechanically induced (mechanical) Kerr:
-    K + 2 g0^2 omega_m / (omega_m^2 + gamma_m^2/4)."""
-    return p.kerr + 2.0 * p.g0 ** 2 * p.omega_m / (p.omega_m ** 2 + p.gamma_m ** 2 / 4.0)
+    """Intrinsic Kerr plus the optomechanically induced (mechanical) Kerr."""
+    return p.kerr + mechanical_kerr(p)
 
 
 def mechanical_kerr(p: SystemParams) -> float:
-    """The g0-induced part of the effective Kerr constant."""
-    return effective_kerr(p) - p.kerr
+    """The g0-induced part of the effective Kerr constant,
+    2 g0^2 omega_m / (omega_m^2 + gamma_m^2/4), formed directly: the
+    difference K_eff - K cancels where it is far below K."""
+    return 2.0 * p.g0 ** 2 * p.omega_m / (p.omega_m ** 2 + p.gamma_m ** 2 / 4.0)
 
 
 def cubic_coeffs(k_eff: float, delta: float, kappa: float, n_in: float):
@@ -275,12 +276,14 @@ def photon_branches(p: SystemParams, delta: float, n_in: float):
     return out
 
 
-def _lower_closed_form(p: SystemParams, deltas, n_in: float):
+def _lower_closed_form(p: SystemParams, deltas, n_in):
     """Smallest non-negative real root for every detuning in `deltas`,
     before the polish: the root that ranks a search grid.  Cardano's root
-    everywhere, replaced by Viete's k = 1 where D <= 0."""
+    everywhere, replaced by Viete's k = 1 where D <= 0.  `n_in` may be an
+    array that broadcasts against `deltas` (fluxes[:, None] gives one row
+    per flux); each element rounds as in a call at its own scalar drive."""
     deltas = np.asarray(deltas, dtype=float)
-    if n_in == 0.0:
+    if np.ndim(n_in) == 0 and n_in == 0.0:
         return np.zeros_like(deltas)
     k_eff = effective_kerr(p)
     if k_eff == 0.0:
@@ -292,7 +295,7 @@ def _lower_closed_form(p: SystemParams, deltas, n_in: float):
         t = np.asarray(l0 / sigma - sigma)
         three = disc <= 0.0
         if np.any(three):
-            r = np.sqrt(-l0[three])
+            r = np.sqrt(-np.broadcast_to(l0, three.shape)[three])
             phi = np.arccos(np.clip(-l1[three] / (r * r * r), -1.0, 1.0))
             # r = 0 is the triple root t = 0
             t[three] = np.where(r == 0.0, 0.0, 2.0 * r * np.cos((phi + TAU) / 3.0))

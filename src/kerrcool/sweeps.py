@@ -279,6 +279,20 @@ def max_damping_point(p: SystemParams, n_in: float):
     return d, -negc
 
 
+def _coarse_envelope(p: SystemParams, coarse: np.ndarray, fluxes: np.ndarray,
+                     xi: float) -> np.ndarray:
+    """The least n_m on the unpolished `coarse` detuning grid at each flux,
+    ranked a block of fluxes at a time: one block holds at most
+    `PROFILE_POINTS` points, as one ranking grid does, so that peak memory
+    stays that of a single grid.  Every element rounds as at its own flux."""
+    step = max(1, PROFILE_POINTS // len(coarse))
+    blocks = [fluxes[i:i + step, None] for i in range(0, len(fluxes), step)]
+    return np.concatenate([
+        np.min(_occupation_profile(p, coarse, steady._lower_closed_form(p, coarse, b), xi)[0],
+               axis=1)
+        for b in blocks])
+
+
 def optimize_operating_point(p: SystemParams,
                              power_cap: float = CRITICAL_POWER_FRACTION,
                              xi: float = 0.0,
@@ -289,12 +303,13 @@ def optimize_operating_point(p: SystemParams,
     F(n_in) = min over Delta of n_m (`optimal_detuning`), sampled on a
     64-point log grid over n_in in [1e-3, cap] * n_in_bi.  A coarse
     envelope, the least n_m on a `PROFILE_POINTS // 8`-point unpolished
-    detuning grid, picks the flux cell; F itself is evaluated only in that
-    cell and its neighbours.  By the envelope theorem F' is dn_m/dn_in at
-    the optimal detuning.  At the cap F' < 0 leaves no sign change, so the
-    cap stands (a KKT point); an interior optimum is a root of F'.  Returns
-    (delta, n_in, CoolingReport), the report under the matched squeezing
-    of purity xi that was minimized (`squeezing.matched_report`).
+    detuning grid (`_coarse_envelope`, 8 fluxes a block), picks the flux
+    cell; F itself is evaluated only in that cell and its neighbours.  By
+    the envelope theorem F' is dn_m/dn_in at the optimal detuning.  At the
+    cap F' < 0 leaves no sign change, so the cap stands (a KKT point); an
+    interior optimum is a root of F'.  Returns (delta, n_in,
+    CoolingReport), the report under the matched squeezing of purity xi
+    that was minimized (`squeezing.matched_report`).
     """
     if not 0.0 < power_cap <= 1.0:
         raise ConfigError(f"power_cap must be in (0, 1], got {power_cap}")
@@ -309,9 +324,7 @@ def optimize_operating_point(p: SystemParams,
 
     fluxes = np.geomspace(1e-3, power_cap, POWER_GRID_POINTS) * n_in_bi
     coarse = np.linspace(*detuning_window(p), PROFILE_POINTS // 8)
-    cell = int(np.argmin([
-        np.min(_occupation_profile(p, coarse, steady._lower_closed_form(p, coarse, f), xi)[0])
-        for f in fluxes]))
+    cell = int(np.argmin(_coarse_envelope(p, coarse, fluxes, xi)))
     vals = np.full(len(fluxes), np.inf)
     for j in range(max(0, cell - 1), min(len(fluxes), cell + 2)):
         vals[j] = envelope(float(fluxes[j]))[1]

@@ -13,7 +13,7 @@ import pytest
 import kerrcool as kc
 from kerrcool import steady, sweeps
 from kerrcool.cli import run_cli
-from kerrcool.errors import InvariantError
+from kerrcool.errors import DomainError, InvariantError, KerrcoolError
 from kerrcool.io import rows_to_csv
 from kerrcool.params import CRITICAL_POWER_FRACTION, TAU
 
@@ -237,6 +237,24 @@ class TestInvariants:
         assert ss.delta_eff < 0
         with pytest.raises(InvariantError):
             kc.matched_squeeze(ss, defaults, 0.9)
+
+    def test_domain_errors_are_typed(self, defaults, crit_drive):
+        # package errors, and still ValueErrors for callers that catch those
+        assert issubclass(DomainError, KerrcoolError) and issubclass(DomainError, ValueError)
+        ss = kc.steady_at(defaults, -defaults.kappa, crit_drive)
+        dm = kc.build_matrix(ss, defaults)
+        corr = kc.input_correlators(defaults, None, ss.phi_c)
+        grid = np.linspace(-1.0, 1.0, 5)
+        calls = (
+            lambda: kc.Spectrum(grid=grid, values=np.ones(4)),
+            lambda: kc.Spectrum(grid=grid[::-1], values=np.ones(5)),
+            lambda: kc.backaction_limit(defaults, 0.0),
+            lambda: kc.correlators_from_chi(defaults.kappa, 0.5 * defaults.kappa),
+            lambda: kc.numeric_spectrum(dm, corr, "xx", grid),
+        )
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestCsvQuoting:

@@ -26,6 +26,16 @@ class TestEffectiveKerr:
         assert kc.effective_kerr(p) / TAU == pytest.approx(19.2667, rel=1e-4)
         assert kc.effective_kerr(defaults) >= defaults.kerr
 
+    @pytest.mark.parametrize("g0", [1e-6, 1.0, None])
+    def test_mechanical_kerr_formed_directly(self, defaults, g0):
+        # K_eff - K cancels where the mechanical part is far below K: at
+        # g0 = 1e-6 rad/s it gave 0.0 against about 1e-18 rad/s
+        p = defaults if g0 is None else defaults.replace(g0=g0)
+        direct = 2.0 * p.g0 ** 2 * p.omega_m / (p.omega_m ** 2 + p.gamma_m ** 2 / 4.0)
+        assert direct > 0.0
+        assert kc.mechanical_kerr(p) == pytest.approx(direct, rel=1e-15, abs=0.0)
+        assert kc.effective_kerr(p) == p.kerr + kc.mechanical_kerr(p)
+
 
 class TestPhotonBranches:
     def test_zero_drive(self, defaults):

@@ -508,6 +508,23 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == f"config error: sweep kind {kind} takes no xi, got xi = 0.5\n"
 
+    def test_sweep_spec_unknown_key(self, tmp_path, capsys):
+        # a misspelt key is refused by name, not dropped
+        spec = tmp_path / "sweep.cfg"
+        base = "kind = sideband_sweep\nomega_frac = 0.08, 0.2, 2\n"
+        for extra, named in (("cap_fracton = 0.5\n", "'cap_fracton'"),
+                             ("points = 3\nXi = 0.9\n", "'points', 'Xi'")):
+            spec.write_text(base + extra)
+            assert run_cli(["sweep", str(spec)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"config error: unknown sweep spec key {named}; ")
+        # every known key still parses
+        spec.write_text(base + "mode = nonlinear\ncap_fraction = 0.5\nxi = 0.9\n"
+                        "g0_hz = 2e3, 4e3, 2\ndetuning_hz = -1e6, -1e5, 2\n")
+        assert run_cli(["sweep", str(spec)]) == 0
+        assert capsys.readouterr().out.startswith("omega_frac")
+
     @pytest.mark.parametrize("kind", ["sideband_sweep", "optimal_power_curve"])
     def test_invalid_omega_stays_in_its_row(self, tmp_path, capsys, kind):
         # omega_m = 0 has no sideband variant: that row records the error
@@ -585,6 +602,28 @@ class TestCli:
         assert json.loads(out.read_text())
         assert fig6.read_text().startswith("g0_hz,")
         assert oracle.read_text().startswith("omega_rad_s,s_ff,oracle\n")
+
+    def test_import_loads_only_stdlib_beyond_numpy(self):
+        # set-up time is the import of kerrcool and kerrcool.cli: beyond
+        # numpy it may load only the package and the standard library, and
+        # none of the heavy or process-starting modules
+        script = ("import json, sys\n"
+                  "import numpy\n"
+                  "before = set(sys.modules)\n"
+                  "import kerrcool, kerrcool.cli\n"
+                  "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "kerrcool.cli" in loaded
+        assert [m for m in loaded if m.split(".")[0] != "kerrcool"
+                and m.split(".")[0] not in sys.stdlib_module_names] == []
+        heavy = ("scipy", "mpmath", "sympy", "hypothesis", "multiprocessing",
+                 "concurrent.futures")
+        assert [m for m in loaded if any(m == h or m.startswith(h + ".") for h in heavy)] == []
 
     def test_module_entry_point_runs_without_scipy(self):
         # `python -m kerrcool` runs from a checkout with PYTHONPATH=src;
