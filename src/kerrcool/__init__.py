@@ -53,7 +53,6 @@ from .squeezing import (
     SqueezeSpec,
     correlators_from_chi,
     matched_squeeze,
-    occupation_matched,
     occupation_with_squeezing,
     optimal_phase,
     squeezed_backaction,

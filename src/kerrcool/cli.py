@@ -193,16 +193,16 @@ def _cmd_squeeze(args) -> int:
     else:
         delta = TAU * args.detuning_hz
     ss = steady.steady_at(p, delta, n_in)
-    n_ba_s, wp, n_s, r, db = squeezing.squeezed_backaction(ss, p, args.xi)
     sq = squeezing.matched_squeeze(ss, p, args.xi)
+    n_ba = cooling.backaction_limit(p, ss.delta_eff)
     payload = sq.to_dict()
     payload.update({
         "detuning_rad_s": delta,
         "n_in_per_s": n_in,
-        "optimal_phase_rad": squeezing.optimal_phase(ss, p),
-        "wp": wp,
-        "n_ba_vacuum": cooling.backaction_limit(p, ss.delta_eff),
-        "n_ba_squeezed": n_ba_s,
+        "optimal_phase_rad": sq.phase,
+        "wp": math.sqrt(squeezing.sideband_asymmetry(ss, p)),
+        "n_ba_vacuum": n_ba,
+        "n_ba_squeezed": (1.0 - args.xi) * n_ba,
         "n_m_squeezed": squeezing.occupation_with_squeezing(ss, p, sq),
     })
     io.emit(io.to_json(payload), args.out)

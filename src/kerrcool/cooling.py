@@ -139,28 +139,39 @@ class CoolingReport:
         }
 
 
-def occupation(ss: SteadyState, p: SystemParams) -> CoolingReport:
-    """Steady mechanical occupation by the closed and rate forms.
+def occupation(ss: SteadyState, p: SystemParams, xi: float = 0.0) -> CoolingReport:
+    """Steady mechanical occupation by the closed and rate forms, under
+    optimal-phase, gain-matched squeezing of purity xi (vacuum at xi = 0).
 
-    Raises InstabilityError on net anti-damping.  The two forms are
-    algebraically identical; both are reported as a cross-check.
+    Squeezing scales the Stokes rate, the backaction term of the closed
+    form and the backaction floor by (1 - xi); the optical damping, the
+    thermal share and the poles do not move.  Raises InstabilityError on
+    net anti-damping.  The two forms are algebraically identical; both are
+    reported as a cross-check.
     """
     rates, sigma, poles = _mech_response(ss, p)
+    if xi:
+        rates = RateReport(gamma_stokes=(1.0 - xi) * rates.gamma_stokes,
+                           gamma_antistokes=rates.gamma_antistokes - xi * rates.gamma_stokes,
+                           gamma_opt=rates.gamma_opt, c_eff=rates.c_eff)
     delta_eff = ss.delta_eff
     c_eff = rates.c_eff
+    damping = p.gamma_m + rates.gamma_opt
 
     if rates.gamma_opt == 0.0 and rates.gamma_stokes == 0.0:
         n_rate = p.n_th  # decoupled oscillator: exactly thermal
     else:
-        n_rate = (p.gamma_m * p.n_th + rates.gamma_stokes) / (p.gamma_m + rates.gamma_opt)
+        n_rate = (p.gamma_m * p.n_th + rates.gamma_stokes) / damping
     thermal = p.n_th / (c_eff + 1.0)
     if delta_eff != 0.0:
-        ba_coeff = ((p.omega_m - delta_eff) ** 2 + p.kappa ** 2 / 4.0) / (4.0 * p.omega_m * delta_eff)
-        n_closed = thermal + c_eff / (c_eff + 1.0) * ba_coeff
+        # `backaction_limit`, squeezed, at either sign of delta_eff
+        n_ba = (1.0 - xi) * (((p.omega_m - delta_eff) ** 2 + p.kappa ** 2 / 4.0)
+                             / (4.0 * p.omega_m * delta_eff))
+        n_closed = thermal + c_eff / (c_eff + 1.0) * n_ba
     else:
         # backaction-evasion point: the 0/0 limit of the second term
-        n_closed = thermal + rates.gamma_stokes / (p.gamma_m + rates.gamma_opt)
-    n_ba = backaction_limit(p, delta_eff) if delta_eff > 0 else math.nan
+        n_ba = math.nan
+        n_closed = thermal + rates.gamma_stokes / damping
 
     return CoolingReport(
         rates=rates,
@@ -168,9 +179,9 @@ def occupation(ss: SteadyState, p: SystemParams) -> CoolingReport:
         delta_eff=delta_eff,
         n_closed=n_closed,
         n_rate=n_rate,
-        n_backaction=n_ba,
-        thermal_share=p.gamma_m * p.n_th / (p.gamma_m + rates.gamma_opt),
-        backaction_share=rates.gamma_stokes / (p.gamma_m + rates.gamma_opt),
+        n_backaction=n_ba if delta_eff > 0 else math.nan,
+        thermal_share=p.gamma_m * p.n_th / damping,
+        backaction_share=rates.gamma_stokes / damping,
         mech_poles=poles,
     )
 

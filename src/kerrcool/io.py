@@ -94,18 +94,32 @@ def rows_to_csv(rows: list) -> str:
     return columns_to_csv({col: [row.get(col) for row in rows] for col in columns})
 
 
+def _finite(value):
+    """`value` with every non-finite float in it, at any depth of dicts,
+    lists and tuples, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _json_default(value):
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return _finite({"re": value.real, "im": value.imag})
     if hasattr(value, "item"):
-        return value.item()
+        return _finite(value.item())
     if hasattr(value, "value"):
         return value.value
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def to_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """Strict JSON: a non-finite float is written as null (CSV keeps nan)."""
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
 
 
 def emit(text: str, out: str | None):

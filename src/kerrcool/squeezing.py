@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import photon_spectrum_values, spectrum_denominator
-from .cooling import CoolingReport, check_net_damping, occupation
+from .cooling import check_net_damping
 from .errors import ConfigError, DomainError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
@@ -197,28 +197,3 @@ def occupation_with_squeezing(ss: SteadyState, p: SystemParams, sq: SqueezeSpec)
     gamma_s_sq, _, gamma_tot = squeezed_rates(ss, p, sq)
     check_net_damping(p, gamma_tot)
     return (p.gamma_m * p.n_th + gamma_s_sq) / (p.gamma_m + gamma_tot)
-
-
-def matched_report(ss: SteadyState, p: SystemParams, xi: float) -> CoolingReport:
-    """`cooling.occupation` under optimal-phase, gain-matched squeezing of
-    purity xi: the Stokes rate and every backaction term scale by (1 - xi),
-    the optical damping does not."""
-    rep = occupation(ss, p)
-    if xi == 0.0:
-        return rep
-    keep, r = 1.0 - xi, rep.rates
-    thermal = p.n_th / (r.c_eff + 1.0)
-    return replace(
-        rep,
-        rates=replace(r, gamma_stokes=keep * r.gamma_stokes,
-                      gamma_antistokes=r.gamma_antistokes - xi * r.gamma_stokes),
-        n_closed=thermal + keep * (rep.n_closed - thermal),
-        n_rate=(p.gamma_m * p.n_th + keep * r.gamma_stokes) / (p.gamma_m + r.gamma_opt),
-        n_backaction=keep * rep.n_backaction,
-        backaction_share=keep * rep.backaction_share)
-
-
-def occupation_matched(ss: SteadyState, p: SystemParams, xi: float) -> float:
-    """Occupation with optimal-phase, gain-matched squeezing; equal to the
-    rate form with the Stokes rate scaled by (1 - xi)."""
-    return matched_report(ss, p, xi).n_rate

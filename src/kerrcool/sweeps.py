@@ -18,9 +18,9 @@ Each of these choices is made in one place.  `_equal_drive_target` gives
 the system and drive of every equal-drive comparison (sideband rows, map
 cells, boundary probes, the detuning-profile sweep).  A ground-state map
 cell and a probe of its one-phonon boundary are one function,
-`_map_occupation`.  Each sweep kind is one entry of `_KINDS`: its rows
-from the spec's axes.  The reproduce targets fig2, fig3 and fig5 are one
-`detuning_profile` dataset.
+`_map_occupation`.  Each sweep kind is one entry of `_KINDS`: the axes
+and the purity it reads, which `SweepSpec` checks, and its rows.  The
+reproduce targets fig2, fig3 and fig5 are one `detuning_profile` dataset.
 """
 from __future__ import annotations
 
@@ -52,11 +52,6 @@ class SweepKind(enum.Enum):
     SIDEBAND_SWEEP_SQUEEZED = "sideband_sweep_squeezed"
     OPTIMAL_POWER_CURVE = "optimal_power_curve"
     GROUND_STATE_MAP = "ground_state_map"
-
-
-#: The sweep kinds whose rows do not depend on a squeezing purity xi.
-_UNSQUEEZED_KINDS = (SweepKind.DETUNING_PROFILE, SweepKind.COUPLING_SWEEP,
-                     SweepKind.OPTIMAL_POWER_CURVE)
 
 
 class Mode(enum.Enum):
@@ -96,13 +91,23 @@ class SweepSpec:
     squeeze_xi: float | None = None
 
     def __post_init__(self):
+        """ConfigError unless the spec gives exactly the axes its kind
+        reads, and an xi only to a kind that reads one (`_KINDS`)."""
         if not 0.0 < self.cap_fraction <= 1.0:
             raise ConfigError(f"cap_fraction must be in (0, 1], got {self.cap_fraction}")
         if self.squeeze_xi is not None and not 0.0 <= self.squeeze_xi <= 1.0:
             raise ConfigError(f"xi must be in [0, 1], got {self.squeeze_xi}")
-        if self.squeeze_xi is not None and self.kind in _UNSQUEEZED_KINDS:
+        axes, takes_xi, _ = _KINDS[self.kind]
+        if self.squeeze_xi is not None and not takes_xi:
             raise ConfigError(f"sweep kind {self.kind.value} takes no xi, "
                               f"got xi = {self.squeeze_xi}")
+        unread = [name for name in self.ranges if name not in axes]
+        if unread:
+            raise ConfigError(f"sweep kind {self.kind.value} takes no axis "
+                              f"{', '.join(map(repr, unread))}; its axes: {', '.join(axes)}")
+        for name in axes:
+            if name not in self.ranges:
+                raise ConfigError(f"sweep kind {self.kind.value} needs axis {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +314,7 @@ def optimize_operating_point(p: SystemParams,
     cap F' < 0 leaves no sign change, so the cap stands (a KKT point); an
     interior optimum is a root of F'.  Returns (delta, n_in,
     CoolingReport), the report under the matched squeezing of purity xi
-    that was minimized (`squeezing.matched_report`).
+    that was minimized (`cooling.occupation(ss, p, xi)`).
     """
     if not 0.0 < power_cap <= 1.0:
         raise ConfigError(f"power_cap must be in (0, 1], got {power_cap}")
@@ -331,7 +336,7 @@ def optimize_operating_point(p: SystemParams,
     n_in, _ = _grid_slope_min(vals, fluxes, lambda f: (
         envelope(f)[1], _occupation_lane(p, envelope(f)[0], f, xi, along_flux=True)[1]))
     delta = envelope(n_in)[0]
-    return delta, n_in, squeezing.matched_report(steady.steady_at(p, delta, n_in), p, xi)
+    return delta, n_in, cooling.occupation(steady.steady_at(p, delta, n_in), p, xi)
 
 
 # ----------------------------------------------------------------------
@@ -650,23 +655,16 @@ def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
 # ----------------------------------------------------------------------
 # sweep driver
 
-def _axis(spec: SweepSpec, name: str) -> AxisRange:
-    try:
-        return spec.ranges[name]
-    except KeyError:
-        raise ConfigError(f"sweep kind {spec.kind.value} needs axis {name!r}") from None
-
-
 def _g0_values(spec: SweepSpec) -> list:
-    return [TAU * g for g in _axis(spec, "g0_hz").grid().tolist()]
+    return [TAU * g for g in spec.ranges["g0_hz"].grid().tolist()]
 
 
 def _omega_values(spec: SweepSpec) -> list:
-    return _axis(spec, "omega_frac").grid().tolist()
+    return spec.ranges["omega_frac"].grid().tolist()
 
 
 def _profile_rows(spec: SweepSpec, p: SystemParams) -> list:
-    deltas = TAU * _axis(spec, "detuning_hz").grid()
+    deltas = TAU * spec.ranges["detuning_hz"].grid()
     target, n_in = _equal_drive_target(p, spec.mode, spec.cap_fraction)
     return detuning_profile(target, n_in, deltas)
 
@@ -681,19 +679,20 @@ def _map_rows(spec: SweepSpec, p: SystemParams) -> list:
             + [_boundary_row(spec, p, g, bracket) for g in g_axis])
 
 
-#: Each sweep kind: its rows under spec s, in input order.
+#: Each sweep kind: the axes it reads, whether it reads a purity xi, and
+#: its rows under spec s, in input order.
 _KINDS = {
-    SweepKind.DETUNING_PROFILE: _profile_rows,
-    SweepKind.COUPLING_SWEEP: lambda s, p: [
-        _coupling_row(p, g0, s.cap_fraction) for g0 in _g0_values(s)],
+    SweepKind.DETUNING_PROFILE: (("detuning_hz",), False, _profile_rows),
+    SweepKind.COUPLING_SWEEP: (("g0_hz",), False, lambda s, p: [
+        _coupling_row(p, g0, s.cap_fraction) for g0 in _g0_values(s)]),
     # one kind under two names, which spec files use both
     **dict.fromkeys((SweepKind.SIDEBAND_SWEEP, SweepKind.SIDEBAND_SWEEP_SQUEEZED),
-                    lambda s, p: [_sideband_row(p, w, s.mode, s.cap_fraction,
-                                                s.squeeze_xi or 0.0)
-                                  for w in _omega_values(s)]),
-    SweepKind.OPTIMAL_POWER_CURVE: lambda s, p: [
-        _power_row(p, w, s.mode, s.cap_fraction) for w in _omega_values(s)],
-    SweepKind.GROUND_STATE_MAP: _map_rows,
+                    (("omega_frac",), True, lambda s, p: [
+                        _sideband_row(p, w, s.mode, s.cap_fraction, s.squeeze_xi or 0.0)
+                        for w in _omega_values(s)])),
+    SweepKind.OPTIMAL_POWER_CURVE: (("omega_frac",), False, lambda s, p: [
+        _power_row(p, w, s.mode, s.cap_fraction) for w in _omega_values(s)]),
+    SweepKind.GROUND_STATE_MAP: (("g0_hz", "omega_frac"), True, _map_rows),
 }
 
 
@@ -703,4 +702,5 @@ def run_sweep(spec: SweepSpec, p: SystemParams) -> list:
     Per-row failures are recorded in the row's error column and do not
     abort the sweep.
     """
-    return _KINDS[spec.kind](spec, p)
+    _, _, rows = _KINDS[spec.kind]
+    return rows(spec, p)

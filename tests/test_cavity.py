@@ -6,7 +6,7 @@ import pytest
 
 import kerrcool as kc
 from kerrcool import sweeps
-from kerrcool.cavity import (PoleRegion, SkewnessWorkspace, Spectrum,
+from kerrcool.cavity import (PoleRegion, SkewnessWorkspace, Spectrum, bare_susceptibility_inv,
                              photon_spectrum_values, skewness_grid, spectrum_denominator)
 from kerrcool.errors import ConfigError, DegenerateSpectrumError, InstabilityError
 from kerrcool.params import TAU
@@ -82,6 +82,33 @@ class TestPhotonSpectrum:
             product = (np.abs(omegas - poles[0]) ** 2) * (np.abs(omegas - poles[1]) ** 2)
             assert spectrum_denominator(omegas, ss, defaults) == pytest.approx(
                 product, rel=1e-10)
+
+
+class TestDrivenSusceptibility:
+    OMEGAS_KAPPA = np.array([-3.0, -1.0, -0.2, 0.0, 0.3, 1.0, 4.0])
+
+    def test_modulus_over_spectrum_denominator(self, defaults, crit_drive):
+        # chi_d = (kappa/2 - i(w - D~)) / (kappa^2/4 + D~^2 - L^2 - w^2 - i kappa w),
+        # so |chi_d|^2 times the quartic denominator is (D~ - w)^2 + kappa^2/4
+        rng = np.random.default_rng(25)
+        omegas = self.OMEGAS_KAPPA * defaults.kappa
+        for d in (-0.3, -0.8667, -2.0):
+            for _ in range(10):
+                ss = kc.steady_at(defaults, d * defaults.kappa,
+                                  rng.uniform(1e-3, 1.0) * crit_drive)
+                chi = kc.driven_susceptibility(omegas, ss, defaults)
+                lhs = np.abs(chi) ** 2 * spectrum_denominator(omegas, ss, defaults)
+                rhs = (ss.delta_tilde - omegas) ** 2 + defaults.kappa ** 2 / 4.0
+                assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    def test_bare_susceptibility_without_lambda(self, defaults, crit_drive):
+        p = defaults.without_kerr()
+        omegas = self.OMEGAS_KAPPA * p.kappa
+        for d in (-0.3, -1.0):
+            ss = kc.steady_at(p, d * p.kappa, crit_drive)
+            assert ss.lambda_abs == 0.0
+            bare = 1.0 / bare_susceptibility_inv(omegas, ss.delta_tilde, p.kappa)
+            assert np.array_equal(kc.driven_susceptibility(omegas, ss, p), bare)
 
 
 class TestCavityPoles:

@@ -181,20 +181,50 @@ class TestOccupationWithSqueezing:
         n_plain = kc.occupation(optimal_state, defaults).n_rate
         n_sq = kc.occupation_with_squeezing(optimal_state, defaults, SqueezeSpec.vacuum())
         assert n_sq == pytest.approx(n_plain, rel=1e-14)
-        assert kc.occupation_matched(optimal_state, defaults, 0.0) == n_plain
+        assert kc.occupation(optimal_state, defaults, 0.0).n_rate == n_plain
 
     def test_matched_equals_spectrum_route(self, defaults, crit_drive):
         for ss in random_states(defaults, crit_drive, 10, 61):
             for xi in (0.44, 0.9, 0.99):
                 sq = kc.matched_squeeze(ss, defaults, xi)
                 via_spectrum = kc.occupation_with_squeezing(ss, defaults, sq)
-                via_rates = kc.occupation_matched(ss, defaults, xi)
+                via_rates = kc.occupation(ss, defaults, xi).n_rate
                 assert via_spectrum == pytest.approx(via_rates, rel=1e-10)
+
+    def test_report_under_matched_squeezing(self, defaults, crit_drive):
+        # the Stokes rate and the backaction terms scale by (1 - xi); the
+        # damping, the thermal share and the poles do not move
+        for ss in random_states(defaults, crit_drive, 10, 62):
+            vac = kc.occupation(ss, defaults)
+            for xi in (0.44, 0.9, 0.99):
+                keep = 1.0 - xi
+                rep = kc.occupation(ss, defaults, xi)
+                damping = defaults.gamma_m + vac.rates.gamma_opt
+                assert rep.rates.gamma_stokes == keep * vac.rates.gamma_stokes
+                assert rep.rates.gamma_antistokes - rep.rates.gamma_stokes == pytest.approx(
+                    vac.rates.gamma_opt, rel=1e-12)
+                assert (rep.rates.gamma_opt, rep.rates.c_eff) == (vac.rates.gamma_opt,
+                                                                 vac.rates.c_eff)
+                assert (rep.sigma_m, rep.mech_poles, rep.thermal_share) == (
+                    vac.sigma_m, vac.mech_poles, vac.thermal_share)
+                assert rep.n_rate == (defaults.gamma_m * defaults.n_th
+                                      + keep * vac.rates.gamma_stokes) / damping
+                assert rep.n_backaction == kc.squeezed_backaction(ss, defaults, xi)[0]
+                assert rep.backaction_share == pytest.approx(keep * vac.backaction_share,
+                                                             rel=1e-15)
+                assert rep.n_closed == pytest.approx(rep.n_rate, rel=1e-9)
+
+    def test_decoupled_oscillator_stays_thermal(self, defaults, crit_drive):
+        p = defaults.replace(g0=0.0)
+        for d in (-1.0, 0.2):
+            ss = kc.steady_at(p, d * p.kappa, crit_drive)
+            for xi in (0.0, 0.44, 1.0):
+                assert kc.occupation(ss, p, xi).n_rate == p.n_th
 
     def test_squeezing_always_helps_at_optimum(self, defaults, optimal_state):
         base = kc.occupation(optimal_state, defaults).n_rate
         previous = base
         for xi in (0.3, 0.6, 0.9):
-            n = kc.occupation_matched(optimal_state, defaults, xi)
+            n = kc.occupation(optimal_state, defaults, xi).n_rate
             assert n < previous
             previous = n

@@ -457,6 +457,33 @@ class TestCli:
         assert payload["ep_delta_minus_rad_s"] is None
         assert payload["ep_delta_plus_rad_s"] is None or payload["ep_delta_plus_rad_s"] < 0
 
+    def test_json_writes_non_finite_as_null(self, tmp_path, capsys):
+        # NaN and Infinity are not JSON: a strict parser reads each as null
+
+        def refuse(constant):
+            raise ValueError(f"non-finite number {constant} in JSON")
+
+        base = "f_m = 0.3e6\ngamma_m = 0.5\nkappa = 3e6\nn_th = 2778\n"
+        weak, no_kerr, spec = (tmp_path / name for name in ("weak.cfg", "no_kerr.cfg",
+                                                             "profile.spec"))
+        weak.write_text(base + "kerr = 0.16e6\ng0 = 1e-3\n")
+        no_kerr.write_text(base + "kerr = 0\ng0 = 1.7e3\n")
+        spec.write_text("kind = detuning_profile\ndetuning_hz = -1e6, 1e6, 3\n")
+        runs = ((["cool", "--config", str(weak), "--detuning-hz", "-100000"],
+                 lambda out: out["n_backaction"]),
+                (["poles", "--config", str(no_kerr)],
+                 lambda out: out["decay_extremum_residual"]),
+                (["sweep", str(spec)], lambda out: out[0]["n_m"]))
+        for argv, null in runs:
+            assert run_cli(argv + ["--format", "json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert null(json.loads(captured.out, parse_constant=refuse)) is None
+        # CSV keeps nan
+        assert run_cli(["sweep", str(spec)]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["n_m"] == "nan"
+
     def test_exceptional_points_leave_sweeps_unloaded(self):
         script = ("import sys\n"
                   "import kerrcool\n"
@@ -519,11 +546,38 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"config error: unknown sweep spec key {named}; ")
-        # every known key still parses
-        spec.write_text(base + "mode = nonlinear\ncap_fraction = 0.5\nxi = 0.9\n"
-                        "g0_hz = 2e3, 4e3, 2\ndetuning_hz = -1e6, -1e5, 2\n")
+        # a spec that sets every key its kind reads still runs
+        spec.write_text("kind = ground_state_map\nmode = nonlinear\ncap_fraction = 0.5\n"
+                        "xi = 0.9\ng0_hz = 2e3, 4e3, 2\nomega_frac = 0.08, 0.2, 2\n")
         assert run_cli(["sweep", str(spec)]) == 0
-        assert capsys.readouterr().out.startswith("omega_frac")
+        assert capsys.readouterr().out.startswith("kind,g0_hz")
+
+    def test_sweep_spec_unread_axis(self, tmp_path, capsys):
+        # an axis the kind does not read is refused by name, not dropped,
+        # and an axis it reads must be given
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("kind = sideband_sweep\nomega_frac = 0.08, 0.2, 2\n"
+                        "g0_hz = 1e3, 2e3, 2\ndetuning_hz = -1e6, -1e5, 3\n")
+        assert run_cli(["sweep", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: sweep kind sideband_sweep takes no axis "
+                                "'detuning_hz', 'g0_hz'; its axes: omega_frac\n")
+        spec.write_text("kind = ground_state_map\ng0_hz = 1e3, 2e3, 2\n")
+        assert run_cli(["sweep", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: sweep kind ground_state_map needs axis "
+                                "'omega_frac'\n")
+        # each kind names the axes its rows read
+        assert {kind: entry[0] for kind, entry in sweeps._KINDS.items()} == {
+            SweepKind.DETUNING_PROFILE: ("detuning_hz",),
+            SweepKind.COUPLING_SWEEP: ("g0_hz",),
+            SweepKind.SIDEBAND_SWEEP: ("omega_frac",),
+            SweepKind.SIDEBAND_SWEEP_SQUEEZED: ("omega_frac",),
+            SweepKind.OPTIMAL_POWER_CURVE: ("omega_frac",),
+            SweepKind.GROUND_STATE_MAP: ("g0_hz", "omega_frac"),
+        }
 
     @pytest.mark.parametrize("kind", ["sideband_sweep", "optimal_power_curve"])
     def test_invalid_omega_stays_in_its_row(self, tmp_path, capsys, kind):
