@@ -48,6 +48,7 @@ from .cooling import (
     mechanical_poles,
     min_backaction,
     occupation,
+    rate_occupation,
 )
 from .squeezing import (
     SqueezeSpec,

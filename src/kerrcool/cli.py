@@ -194,15 +194,15 @@ def _cmd_squeeze(args) -> int:
         delta = TAU * args.detuning_hz
     ss = steady.steady_at(p, delta, n_in)
     sq = squeezing.matched_squeeze(ss, p, args.xi)
-    n_ba = cooling.backaction_limit(p, ss.delta_eff)
+    n_ba_squeezed, wp, *_ = squeezing.squeezed_backaction(ss, p, args.xi)
     payload = sq.to_dict()
     payload.update({
         "detuning_rad_s": delta,
         "n_in_per_s": n_in,
         "optimal_phase_rad": sq.phase,
-        "wp": math.sqrt(squeezing.sideband_asymmetry(ss, p)),
-        "n_ba_vacuum": n_ba,
-        "n_ba_squeezed": (1.0 - args.xi) * n_ba,
+        "wp": wp,
+        "n_ba_vacuum": cooling.backaction_limit(p, ss.delta_eff),
+        "n_ba_squeezed": n_ba_squeezed,
         "n_m_squeezed": squeezing.occupation_with_squeezing(ss, p, sq),
     })
     io.emit(io.to_json(payload), args.out)
@@ -244,7 +244,7 @@ def spec_from_document(doc: dict) -> SweepSpec:
     except ValueError:
         raise ConfigError(f"unknown sweep kind {doc['kind']!r}") from None
     try:
-        mode = Mode(doc.get("mode", "nonlinear").strip())
+        mode = Mode(doc["mode"].strip()) if "mode" in doc else None
     except ValueError:
         raise ConfigError(f"unknown sweep mode {doc['mode']!r}") from None
     ranges = {}

@@ -4,14 +4,15 @@ The cavity enters the mechanical equations through a complex self-energy;
 its real part shifts the mechanical frequency, twice its imaginary part is
 the optical damping.  Occupations are computed three ways: the closed form
 in terms of the effective cooperativity, the rate form from the scattering
-rates, and (in the oracle module) the exact stationary covariance of the
-linearized drift matrix.
+rates (`rate_occupation`, its one builder, on floats and arrays alike), and
+(in the oracle module) the exact stationary covariance of the linearized
+drift matrix.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,6 +77,29 @@ def check_net_damping(p: SystemParams, gamma_opt: float):
             f"net mechanical anti-damping: gamma_m + Gamma_opt = "
             f"{p.gamma_m + gamma_opt:.6g} <= 0"
         )
+
+
+def rate_occupation(p: SystemParams, g_s, g_opt, xi: float = 0.0):
+    """(n_m, backaction share) of the rate form (gamma_m n_th + (1 - xi) Gamma_S)
+    / (gamma_m + Gamma_opt), on floats by plain arithmetic or on arrays: n_th
+    where both rates are 0, +inf where not finite and positive, and +inf with
+    a nan share where gamma_m + Gamma_opt <= 0."""
+    g = (1.0 - xi) * g_s
+    denom = p.gamma_m + g_opt
+    if isinstance(denom, float):
+        if not denom > 0.0:
+            return math.inf, math.nan
+        if g == 0.0 and g_opt == 0.0:
+            return p.n_th, 0.0
+        n_m = (p.gamma_m * p.n_th + g) / denom
+        return (n_m if math.isfinite(n_m) and n_m > 0.0 else math.inf), g / denom
+    with np.errstate(all="ignore"):
+        n_m, share = (p.gamma_m * p.n_th + g) / denom, g / denom
+    n_m[~((denom > 0.0) & (n_m > 0.0) & (n_m < np.inf))] = np.inf
+    if not g_opt.all():   # Gamma_opt = 0 only decoupled or at Delta_eff = 0: mostly skipped
+        n_m[(g == 0.0) & (g_opt == 0.0)] = p.n_th
+    share[denom <= 0.0] = np.nan
+    return n_m, share
 
 
 def _mech_response(ss: SteadyState, p: SystemParams):
@@ -150,40 +174,32 @@ def occupation(ss: SteadyState, p: SystemParams, xi: float = 0.0) -> CoolingRepo
     reported as a cross-check.
     """
     rates, sigma, poles = _mech_response(ss, p)
+    n_rate, share = rate_occupation(p, rates.gamma_stokes, rates.gamma_opt, xi)
     if xi:
-        rates = RateReport(gamma_stokes=(1.0 - xi) * rates.gamma_stokes,
-                           gamma_antistokes=rates.gamma_antistokes - xi * rates.gamma_stokes,
-                           gamma_opt=rates.gamma_opt, c_eff=rates.c_eff)
-    delta_eff = ss.delta_eff
-    c_eff = rates.c_eff
-    damping = p.gamma_m + rates.gamma_opt
-
-    if rates.gamma_opt == 0.0 and rates.gamma_stokes == 0.0:
-        n_rate = p.n_th  # decoupled oscillator: exactly thermal
-    else:
-        n_rate = (p.gamma_m * p.n_th + rates.gamma_stokes) / damping
+        rates = replace(rates, gamma_stokes=(1.0 - xi) * rates.gamma_stokes,
+                        gamma_antistokes=rates.gamma_antistokes - xi * rates.gamma_stokes)
+    delta_eff, c_eff = ss.delta_eff, rates.c_eff
     thermal = p.n_th / (c_eff + 1.0)
     if delta_eff != 0.0:
-        # `backaction_limit`, squeezed, at either sign of delta_eff
-        n_ba = (1.0 - xi) * (((p.omega_m - delta_eff) ** 2 + p.kappa ** 2 / 4.0)
-                             / (4.0 * p.omega_m * delta_eff))
+        n_ba = squeezed_floor(_backaction_term(p, delta_eff), xi)
         n_closed = thermal + c_eff / (c_eff + 1.0) * n_ba
     else:
         # backaction-evasion point: the 0/0 limit of the second term
         n_ba = math.nan
-        n_closed = thermal + rates.gamma_stokes / damping
+        n_closed = thermal + share
 
     return CoolingReport(
-        rates=rates,
-        sigma_m=sigma,
-        delta_eff=delta_eff,
-        n_closed=n_closed,
-        n_rate=n_rate,
+        rates=rates, sigma_m=sigma, delta_eff=delta_eff, n_closed=n_closed, n_rate=n_rate,
         n_backaction=n_ba if delta_eff > 0 else math.nan,
-        thermal_share=p.gamma_m * p.n_th / damping,
-        backaction_share=rates.gamma_stokes / damping,
-        mech_poles=poles,
-    )
+        thermal_share=p.gamma_m * p.n_th / (p.gamma_m + rates.gamma_opt),
+        backaction_share=share, mech_poles=poles)
+
+
+def _backaction_term(p: SystemParams, delta_eff):
+    """((omega_m - Delta_eff)^2 + kappa^2/4) / (4 omega_m Delta_eff), at
+    either sign; squared by products, so floats round like arrays."""
+    red = p.omega_m - delta_eff
+    return (red * red + p.kappa * p.kappa / 4.0) / (4.0 * p.omega_m * delta_eff)
 
 
 def backaction_limit(p: SystemParams, delta_eff: float) -> float:
@@ -191,7 +207,12 @@ def backaction_limit(p: SystemParams, delta_eff: float) -> float:
     ((omega_m - Delta_eff)^2 + kappa^2/4) / (4 omega_m Delta_eff)."""
     if delta_eff <= 0:
         raise DomainError(f"backaction limit needs Delta_eff > 0, got {delta_eff!r}")
-    return ((p.omega_m - delta_eff) ** 2 + p.kappa ** 2 / 4.0) / (4.0 * p.omega_m * delta_eff)
+    return _backaction_term(p, delta_eff)
+
+
+def squeezed_floor(n_ba: float, xi: float) -> float:
+    """A backaction floor n_ba under gain-matched squeezing of purity xi: (1 - xi) n_ba."""
+    return (1.0 - xi) * n_ba
 
 
 def min_backaction(p: SystemParams):

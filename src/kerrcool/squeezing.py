@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cavity import photon_spectrum_values, spectrum_denominator
-from .cooling import check_net_damping
+from .cooling import backaction_limit, check_net_damping, rate_occupation, squeezed_floor
 from .errors import ConfigError, DomainError, InvariantError
 from .params import SystemParams
 from .steady import SteadyState
@@ -182,18 +182,14 @@ def squeezed_backaction(ss: SteadyState, p: SystemParams, xi: float):
     times the vacuum backaction limit.  The gain comes from
     `matched_squeeze`, so a heating-side point raises its InvariantError.
     """
-    from .cooling import backaction_limit
-
     sq = matched_squeeze(ss, p, xi)
     wp = math.sqrt(sideband_asymmetry(ss, p))
-    return (1.0 - xi) * backaction_limit(p, ss.delta_eff), wp, sq.n_s, sq.r, sq.db
+    return squeezed_floor(backaction_limit(p, ss.delta_eff), xi), wp, sq.n_s, sq.r, sq.db
 
 
 def occupation_with_squeezing(ss: SteadyState, p: SystemParams, sq: SqueezeSpec) -> float:
-    """Steady occupation with the squeezed Stokes rate:
-    (gamma_m n_th + Gamma_S^sq) / (gamma_m + Gamma_tot).  Squeezing leaves
-    Gamma_tot equal to Gamma_opt, so the net-damping check is the unsqueezed
-    one."""
+    """`rate_occupation` of the squeezed rates (Gamma_S^sq, Gamma_tot); squeezing leaves
+    Gamma_tot equal to Gamma_opt, so the net-damping check is the unsqueezed one."""
     gamma_s_sq, _, gamma_tot = squeezed_rates(ss, p, sq)
     check_net_damping(p, gamma_tot)
-    return (p.gamma_m * p.n_th + gamma_s_sq) / (p.gamma_m + gamma_tot)
+    return rate_occupation(p, gamma_s_sq, gamma_tot)[0]

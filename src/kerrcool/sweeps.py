@@ -18,8 +18,8 @@ Each of these choices is made in one place.  `_equal_drive_target` gives
 the system and drive of every equal-drive comparison (sideband rows, map
 cells, boundary probes, the detuning-profile sweep).  A ground-state map
 cell and a probe of its one-phonon boundary are one function,
-`_map_occupation`.  Each sweep kind is one entry of `_KINDS`: the axes
-and the purity it reads, which `SweepSpec` checks, and its rows.  The
+`_map_occupation`.  Each sweep kind is one entry of `_KINDS`: the axes,
+purity and mode it reads, which `SweepSpec` checks, and its rows.  The
 reproduce targets fig2, fig3 and fig5 are one `detuning_profile` dataset.
 """
 from __future__ import annotations
@@ -86,21 +86,25 @@ class AxisRange:
 class SweepSpec:
     kind: SweepKind
     ranges: dict = field(default_factory=dict)   # axis name -> AxisRange
-    mode: Mode = Mode.NONLINEAR
+    mode: Mode | None = None   # nonlinear, for a kind that reads a mode
     cap_fraction: float = CRITICAL_POWER_FRACTION
     squeeze_xi: float | None = None
 
     def __post_init__(self):
         """ConfigError unless the spec gives exactly the axes its kind
-        reads, and an xi only to a kind that reads one (`_KINDS`)."""
+        reads, and an xi or a mode only to a kind that reads one (`_KINDS`)."""
         if not 0.0 < self.cap_fraction <= 1.0:
             raise ConfigError(f"cap_fraction must be in (0, 1], got {self.cap_fraction}")
         if self.squeeze_xi is not None and not 0.0 <= self.squeeze_xi <= 1.0:
             raise ConfigError(f"xi must be in [0, 1], got {self.squeeze_xi}")
-        axes, takes_xi, _ = _KINDS[self.kind]
-        if self.squeeze_xi is not None and not takes_xi:
-            raise ConfigError(f"sweep kind {self.kind.value} takes no xi, "
-                              f"got xi = {self.squeeze_xi}")
+        axes, takes_xi, takes_mode, _ = _KINDS[self.kind]
+        for name, value, reads in (("xi", self.squeeze_xi, takes_xi),
+                                   ("mode", self.mode and self.mode.value, takes_mode)):
+            if value is not None and not reads:
+                raise ConfigError(f"sweep kind {self.kind.value} takes no {name}, "
+                                  f"got {name} = {value}")
+        if self.mode is None and takes_mode:
+            object.__setattr__(self, "mode", Mode.NONLINEAR)
         unread = [name for name in self.ranges if name not in axes]
         if unread:
             raise ConfigError(f"sweep kind {self.kind.value} takes no axis "
@@ -111,21 +115,8 @@ class SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# vectorized occupation kernel
-
-def _occupation_profile(p: SystemParams, deltas: np.ndarray, n_c: np.ndarray,
-                        xi: float = 0.0):
-    """Rate-form occupation on the lower-branch roots `n_c` at `deltas`,
-    +inf where infeasible; returns (n_m, Gamma_S, Gamma_opt).  Reported
-    columns pass the polished `lower_branch_array`, ranking grids the
-    unpolished closed form."""
-    g_s, g_opt = cavity.rates(p, deltas, n_c)
-    denom = p.gamma_m + g_opt
-    with np.errstate(all="ignore"):
-        n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
-    bad = (denom <= 0.0) | ~np.isfinite(n_m) | (n_m <= 0.0)
-    return np.where(bad, np.inf, n_m), g_s, g_opt
-
+# 1-D searches: a bracket from a coarse grid or from end values, then
+# Brent's method on a root of an exact derivative
 
 def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bool):
     """(Gamma_S, Gamma_opt) on the lower branch and their derivatives along
@@ -139,21 +130,14 @@ def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bo
 
 def _occupation_lane(p: SystemParams, delta: float, n_in: float, xi: float = 0.0,
                      along_flux: bool = False):
-    """`_occupation_profile` at one point, on floats, and its slope
-    dn_m/dDelta (or dn_m/dn_in): (n_m, dn_m).  n_m is +inf where
-    infeasible; the slope is nan where gamma_m + Gamma_opt <= 0."""
+    """`cooling.rate_occupation` at one point on the lower branch, on
+    floats, and its slope dn_m/dDelta (or dn_m/dn_in): (n_m, dn_m).  n_m
+    is +inf where infeasible; the slope is nan where gamma_m + Gamma_opt <= 0."""
     (g_s, g_opt), (dg_s, dg_opt) = _rates_and_slopes(p, delta, n_in, along_flux)
+    n_m = cooling.rate_occupation(p, g_s, g_opt, xi)[0]
     denom = p.gamma_m + g_opt
-    if not denom > 0.0:
-        return math.inf, math.nan
-    n_m = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / denom
-    slope = ((1.0 - xi) * dg_s - n_m * dg_opt) / denom
-    return (n_m if math.isfinite(n_m) and n_m > 0.0 else math.inf), slope
+    return n_m, (((1.0 - xi) * dg_s - n_m * dg_opt) / denom if denom > 0.0 else math.nan)
 
-
-# ----------------------------------------------------------------------
-# 1-D searches: a bracket from a coarse grid or from end values, then
-# Brent's method on a root of an exact derivative
 
 #: Relative tolerance of every bracketed root: 4 eps, the least that the
 #: reference `brentq` accepts; `_brent` transcribes its C code.
@@ -263,8 +247,8 @@ def optimal_detuning(p: SystemParams, n_in: float, xi: float = 0.0,
     grid point (an edge minimum) too.  Returns (delta, occupation)."""
     lo, hi = window or detuning_window(p)
     grid = np.linspace(lo, hi, grid_points)
-    n_c = steady._lower_closed_form(p, grid, n_in)
-    return _grid_slope_min(_occupation_profile(p, grid, n_c, xi)[0], grid,
+    rates = cavity.rates(p, grid, steady._lower_closed_form(p, grid, n_in))
+    return _grid_slope_min(cooling.rate_occupation(p, *rates, xi)[0], grid,
                            lambda d: _occupation_lane(p, d, n_in, xi))
 
 
@@ -273,7 +257,7 @@ def max_damping_point(p: SystemParams, n_in: float):
     Gamma_opt / gamma_m at fixed drive, at a root of dC_eff/dDelta; the
     grid ranks as in `optimal_detuning`.  Returns (delta, C_eff)."""
     grid = np.linspace(*detuning_window(p), PROFILE_POINTS)
-    g_opt = _occupation_profile(p, grid, steady._lower_closed_form(p, grid, n_in))[2]
+    g_opt = cavity.rates(p, grid, steady._lower_closed_form(p, grid, n_in))[1]
 
     def neg_c(x):
         """-C_eff at detuning x, and its slope along the detuning."""
@@ -293,8 +277,8 @@ def _coarse_envelope(p: SystemParams, coarse: np.ndarray, fluxes: np.ndarray,
     step = max(1, PROFILE_POINTS // len(coarse))
     blocks = [fluxes[i:i + step, None] for i in range(0, len(fluxes), step)]
     return np.concatenate([
-        np.min(_occupation_profile(p, coarse, steady._lower_closed_form(p, coarse, b), xi)[0],
-               axis=1)
+        np.min(cooling.rate_occupation(
+            p, *cavity.rates(p, coarse, steady._lower_closed_form(p, coarse, b)), xi)[0], axis=1)
         for b in blocks])
 
 
@@ -438,17 +422,14 @@ def _profile_columns(p: SystemParams, deltas: np.ndarray, n_in: float) -> dict:
     stable real root, a failed anti-Stokes cross-check, or an occupation
     the rate kernel refuses."""
     n_c = steady.lower_branch_array(p, deltas, n_in)
-    n_m, g_s, g_opt = _occupation_profile(p, deltas, n_c)
+    g_s, g_opt = cavity.rates(p, deltas, n_c)
+    n_m, share = cooling.rate_occupation(p, g_s, g_opt)
     lam = p.kerr * n_c
     # the fields `photon_spectrum_values` reads, one array each
     fields = SimpleNamespace(n_c=n_c, delta_tilde=deltas + 2.0 * lam, lambda_abs=lam)
     g_as = p.g0 ** 2 * cavity.photon_spectrum_values(p.omega_m, fields, p)
-    denom = p.gamma_m + g_opt
-    damped = denom > 0.0
-    # a decoupled oscillator (no rates at all) is exactly thermal
-    n_m = np.where((g_s == 0.0) & (g_opt == 0.0), p.n_th, np.where(damped, n_m, np.nan))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = g_s / denom
+    damped = p.gamma_m + g_opt > 0.0
+    n_m = np.where(damped, n_m, np.nan)
     ok = (steady.single_stable_root(p, deltas, n_in, n_c)
           & cavity.rates_agree(g_s, g_opt, g_as) & ~np.isinf(n_m))
     return {"n_c": n_c, "g_s": g_s, "g_as": g_as, "g_opt": g_opt,
@@ -584,7 +565,7 @@ def _sideband_row(p: SystemParams, omega_frac: float, mode: Mode,
         _, n_ba_min = cooling.min_backaction(pv)
         row["n_ba_min"] = n_ba_min
         if xi > 0.0:
-            row["n_ba_min_squeezed"] = (1.0 - xi) * n_ba_min
+            row["n_ba_min_squeezed"] = cooling.squeezed_floor(n_ba_min, xi)
     return row
 
 
@@ -679,20 +660,20 @@ def _map_rows(spec: SweepSpec, p: SystemParams) -> list:
             + [_boundary_row(spec, p, g, bracket) for g in g_axis])
 
 
-#: Each sweep kind: the axes it reads, whether it reads a purity xi, and
-#: its rows under spec s, in input order.
+#: Each sweep kind: the axes it reads, whether it reads a purity xi and a mode
+#: (a coupling sweep reports both modes), and its rows under spec s, in order.
 _KINDS = {
-    SweepKind.DETUNING_PROFILE: (("detuning_hz",), False, _profile_rows),
-    SweepKind.COUPLING_SWEEP: (("g0_hz",), False, lambda s, p: [
+    SweepKind.DETUNING_PROFILE: (("detuning_hz",), False, True, _profile_rows),
+    SweepKind.COUPLING_SWEEP: (("g0_hz",), False, False, lambda s, p: [
         _coupling_row(p, g0, s.cap_fraction) for g0 in _g0_values(s)]),
     # one kind under two names, which spec files use both
     **dict.fromkeys((SweepKind.SIDEBAND_SWEEP, SweepKind.SIDEBAND_SWEEP_SQUEEZED),
-                    (("omega_frac",), True, lambda s, p: [
+                    (("omega_frac",), True, True, lambda s, p: [
                         _sideband_row(p, w, s.mode, s.cap_fraction, s.squeeze_xi or 0.0)
                         for w in _omega_values(s)])),
-    SweepKind.OPTIMAL_POWER_CURVE: (("omega_frac",), False, lambda s, p: [
+    SweepKind.OPTIMAL_POWER_CURVE: (("omega_frac",), False, True, lambda s, p: [
         _power_row(p, w, s.mode, s.cap_fraction) for w in _omega_values(s)]),
-    SweepKind.GROUND_STATE_MAP: (("g0_hz", "omega_frac"), True, _map_rows),
+    SweepKind.GROUND_STATE_MAP: (("g0_hz", "omega_frac"), True, True, _map_rows),
 }
 
 
@@ -702,5 +683,5 @@ def run_sweep(spec: SweepSpec, p: SystemParams) -> list:
     Per-row failures are recorded in the row's error column and do not
     abort the sweep.
     """
-    _, _, rows = _KINDS[spec.kind]
+    rows = _KINDS[spec.kind][-1]
     return rows(spec, p)

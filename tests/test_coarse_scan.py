@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from kerrcool import steady, sweeps
+from kerrcool import cavity, cooling, steady, sweeps
 from kerrcool.params import TAU
 
 #: Drive caps of the scan, as `optimize_operating_point` takes them.
@@ -35,8 +35,8 @@ def _per_flux_envelope(p, coarse, fluxes, xi):
     """The coarse envelope one flux at a time, as the scan was written
     before it was blocked."""
     return np.array([
-        np.min(sweeps._occupation_profile(
-            p, coarse, steady._lower_closed_form(p, coarse, f), xi)[0])
+        np.min(cooling.rate_occupation(
+            p, *cavity.rates(p, coarse, steady._lower_closed_form(p, coarse, f)), xi)[0])
         for f in fluxes])
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kerrcool as kc
-from kerrcool import steady, sweeps
+from kerrcool import cavity, cooling, steady, sweeps
 from kerrcool.cli import run_cli
 from kerrcool.errors import DomainError, InvariantError, KerrcoolError
 from kerrcool.io import rows_to_csv
@@ -193,11 +193,11 @@ class TestUnpolishedRoot:
 
 
 def _profile_at(p, d, n_in, xi=0.0):
-    """`_occupation_profile` at one detuning on the polished vector root:
+    """The array rate form at one detuning on the polished vector root:
     (n_m, Gamma_S, Gamma_opt)."""
     deltas = np.array([d])
-    n_c = steady.lower_branch_array(p, deltas, n_in)
-    return [col[0] for col in sweeps._occupation_profile(p, deltas, n_c, xi)]
+    g_s, g_opt = cavity.rates(p, deltas, steady.lower_branch_array(p, deltas, n_in))
+    return [col[0] for col in (cooling.rate_occupation(p, g_s, g_opt, xi)[0], g_s, g_opt)]
 
 
 class TestScalarProbes:

@@ -2,7 +2,9 @@
 invariants are typed `KerrcoolError`s, never an `assert`, which `python -O`
 strips, nor a bare `ValueError`, `RuntimeError` or `Exception`, which the
 CLI does not map to an exit code.  The `TypeError` of `io._json_default`
-stays: the `json` module's `default` hook must raise it."""
+stays: the `json` module's `default` hook must raise it.  The rate-form
+occupation has one home, `cooling.rate_occupation`: its numerator
+p.gamma_m * p.n_th + ... is spelt nowhere else."""
 import ast
 from pathlib import Path
 
@@ -31,6 +33,27 @@ def _violations(source: str, filename: str) -> list:
     return out
 
 
+def _is_rate_numerator(node) -> bool:
+    """An addition whose left side is p.gamma_m * p.n_th."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    left = node.left
+    return (isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mult)
+            and (ast.unparse(left.left), ast.unparse(left.right)) == ("p.gamma_m", "p.n_th"))
+
+
+def _rate_form_copies(source: str, filename: str) -> list:
+    """Every rate-form numerator outside `rate_occupation` of cooling.py."""
+    tree = ast.parse(source, filename)
+    home = set()
+    if filename == "cooling.py":
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "rate_occupation":
+                home.update(map(id, ast.walk(fn)))
+    return [f"{filename}:{node.lineno}: rate form" for node in ast.walk(tree)
+            if _is_rate_numerator(node) and id(node) not in home]
+
+
 def test_package_sources_found():
     assert {"cooling.py", "io.py", "sweeps.py"} <= {path.name for path in SOURCES}
 
@@ -52,3 +75,23 @@ def test_rules_catch_each_form():
                "raise DomainError('x')\n"
                "try:\n    pass\nexcept ValueError:\n    raise\n")
     assert _violations(allowed, "ok.py") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_rate_form_has_one_home(path):
+    assert _rate_form_copies(path.read_text(), path.name) == []
+
+
+def test_rate_form_rule_fires():
+    home = ("def rate_occupation(p, g, g_opt):\n"
+            "    return (p.gamma_m * p.n_th + g) / (p.gamma_m + g_opt)\n")
+    copy = ("def lane(p, g_s, g_opt, xi):\n"
+            "    n = (p.gamma_m * p.n_th + (1.0 - xi) * g_s) / (p.gamma_m + g_opt)\n"
+            "    return n, p.gamma_m * p.n_th / (p.gamma_m + g_opt)\n")
+    # the copy on line 4 is flagged; the thermal share on line 5 is no rate form
+    assert _rate_form_copies(home + copy, "cooling.py") == ["cooling.py:4: rate form"]
+    # the home is one function of one module
+    assert _rate_form_copies(home, "sweeps.py") == ["sweeps.py:2: rate form"]
+    # the rule sees the home's own numerators, so it is not vacuous there
+    cooling_src = (PACKAGE / "cooling.py").read_text()
+    assert _rate_form_copies(cooling_src, "elsewhere.py")

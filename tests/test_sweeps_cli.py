@@ -579,6 +579,33 @@ class TestCli:
             SweepKind.GROUND_STATE_MAP: ("g0_hz", "omega_frac"),
         }
 
+    def test_sweep_spec_unread_mode(self, tmp_path, capsys):
+        # a coupling sweep reports both modes side by side, so a mode set
+        # on it is refused by name, not dropped
+        spec = tmp_path / "sweep.cfg"
+        spec.write_text("kind = coupling_sweep\ng0_hz = 2e3, 4e3, 2\n"
+                        "mode = linear_comparison\n")
+        assert run_cli(["sweep", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: sweep kind coupling_sweep takes no mode, "
+                                "got mode = linear_comparison\n")
+        with pytest.raises(kc.errors.ConfigError, match="takes no mode"):
+            SweepSpec(SweepKind.COUPLING_SWEEP, {"g0_hz": AxisRange(2e3, 4e3, 2)},
+                      Mode.NONLINEAR)
+        # a kind that reads a mode takes the nonlinear one by default
+        spec = SweepSpec(SweepKind.SIDEBAND_SWEEP, {"omega_frac": AxisRange(0.1, 0.2, 2)})
+        assert spec.mode is Mode.NONLINEAR
+        # each kind says whether its rows read a mode
+        assert {kind: entry[2] for kind, entry in sweeps._KINDS.items()} == {
+            SweepKind.DETUNING_PROFILE: True,
+            SweepKind.COUPLING_SWEEP: False,
+            SweepKind.SIDEBAND_SWEEP: True,
+            SweepKind.SIDEBAND_SWEEP_SQUEEZED: True,
+            SweepKind.OPTIMAL_POWER_CURVE: True,
+            SweepKind.GROUND_STATE_MAP: True,
+        }
+
     @pytest.mark.parametrize("kind", ["sideband_sweep", "optimal_power_curve"])
     def test_invalid_omega_stays_in_its_row(self, tmp_path, capsys, kind):
         # omega_m = 0 has no sideband variant: that row records the error
