@@ -56,6 +56,14 @@ def _detuning(p: SystemParams, args) -> float:
     return steady.bifurcation(p).delta_bi
 
 
+def _cooling_detuning(p: SystemParams, args, n_in: float, xi: float = 0.0) -> float:
+    """`--detuning-hz`, or the detuning of least occupation at drive n_in
+    under purity xi: the default of cool, squeeze and spectrum."""
+    if args.detuning_hz is not None:
+        return TAU * args.detuning_hz
+    return sweeps.optimal_detuning(p, n_in, xi=xi)[0]
+
+
 def _emit_rows(rows, args):
     if args.format == "json":
         io.emit(io.to_json(rows), args.out)
@@ -103,7 +111,9 @@ def _spectrum_grid(p: SystemParams, args) -> np.ndarray:
 
 def _cmd_spectrum(args) -> int:
     p = _load_params(args)
-    ss = steady.steady_at(p, _detuning(p, args), _drive(p, args))
+    n_in = _drive(p, args)
+    xi = (args.xi or 0.0) if args.kind == "ff" else 0.0
+    ss = steady.steady_at(p, _cooling_detuning(p, args, n_in, xi), n_in)
     grid = _spectrum_grid(p, args)
     if args.kind == "nn":
         spec = cavity.photon_spectrum(ss, p, grid)
@@ -149,10 +159,7 @@ def _cmd_poles(args) -> int:
 def _cmd_cool(args) -> int:
     p = _load_params(args)
     n_in = _drive(p, args)
-    if args.detuning_hz is None:
-        delta, _ = sweeps.optimal_detuning(p, n_in)
-    else:
-        delta = TAU * args.detuning_hz
+    delta = _cooling_detuning(p, args, n_in)
     ss = steady.steady_at(p, delta, n_in)
     rep = cooling.occupation(ss, p)
     payload = rep.to_dict()
@@ -188,10 +195,7 @@ def _squeeze_from_args(ss, p, args) -> squeezing.SqueezeSpec:
 def _cmd_squeeze(args) -> int:
     p = _load_params(args)
     n_in = _drive(p, args)
-    if args.detuning_hz is None:
-        delta, _ = sweeps.optimal_detuning(p, n_in, xi=args.xi)
-    else:
-        delta = TAU * args.detuning_hz
+    delta = _cooling_detuning(p, args, n_in, args.xi)
     ss = steady.steady_at(p, delta, n_in)
     sq = squeezing.matched_squeeze(ss, p, args.xi)
     n_ba_squeezed, wp, *_ = squeezing.squeezed_backaction(ss, p, args.xi)
@@ -397,7 +401,8 @@ def _add_oracle(sub):
 def _add_point(sub):
     sub.add_argument("--detuning-hz", type=float, default=None,
                      help="drive detuning in cyclic Hz (default: bifurcation"
-                          " detuning, or the cooling optimum for cool/squeeze)")
+                          " detuning, or the cooling optimum for"
+                          " cool/squeeze/spectrum)")
     sub.add_argument("--n-in", type=float, default=None,
                      help="input photon flux (photons/s)")
     sub.add_argument("--n-in-frac", type=float, default=None,

@@ -191,7 +191,9 @@ def _polish_root(k_eff: float, delta: float, kappa: float, n_in: float,
 
     Elementwise the same arithmetic as the vector polish.  A rejected step,
     or a vanishing f', would repeat in every later step, so the loop stops
-    there.
+    there.  So does a step that leaves n where it is: f and the shift are
+    then bit-identical, and every later step would repeat it.  Most roots
+    stop moving after one or two of the `POLISH_STEPS`.
     """
     ld = np.longdouble
     n = ld(root)
@@ -206,6 +208,8 @@ def _polish_root(k_eff: float, delta: float, kappa: float, n_in: float,
         if fp == 0.0:
             break
         candidate = n - f / fp
+        if candidate == n:
+            break
         c_shift = d + K * candidate
         f_new = candidate * (c_shift * c_shift + quarter) - drive
         if not abs(f_new) <= abs(f):

@@ -18,9 +18,12 @@ Each of these choices is made in one place.  `_equal_drive_target` gives
 the system and drive of every equal-drive comparison (sideband rows, map
 cells, boundary probes, the detuning-profile sweep).  A ground-state map
 cell and a probe of its one-phonon boundary are one function,
-`_map_occupation`.  Each sweep kind is one entry of `_KINDS`: the axes,
-purity and mode it reads, which `SweepSpec` checks, and its rows.  The
-reproduce targets fig2, fig3 and fig5 are one `detuning_profile` dataset.
+`_map_occupation`.  The map runs one coupling column at a time: its cells,
+then its boundary, a Brent root started in the pair of cells that brackets
+the crossing, so no cell is evaluated twice.  Each sweep kind is one entry
+of `_KINDS`: the axes, purity and mode it reads, which `SweepSpec` checks,
+and its rows.  The reproduce targets fig2, fig3 and fig5 are one
+`detuning_profile` dataset.
 """
 from __future__ import annotations
 
@@ -592,24 +595,56 @@ def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
     return row
 
 
-def _map_row(spec: SweepSpec, p: SystemParams, g0: float, omega_frac: float) -> dict:
+def _map_row(spec: SweepSpec, p: SystemParams, g0: float, omega_frac: float,
+             pb: SystemParams | None) -> dict:
+    """One map cell on pb, p at coupling g0 built once for its column; where
+    p refused g0 (pb None), the cell records that refusal."""
     row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / p.kappa,
            "omega_frac": omega_frac, "error": ""}
     with _recorded(row):
-        n_m = _map_occupation(p.replace(g0=g0), omega_frac, spec.mode, spec.cap_fraction,
-                              spec.squeeze_xi or 0.0)
+        n_m = _map_occupation(pb or p.replace(g0=g0), omega_frac, spec.mode,
+                              spec.cap_fraction, spec.squeeze_xi or 0.0)
         row["n_m"] = n_m
         row["ground_state"] = bool(n_m < 1.0)
     return row
 
 
-def _boundary_row(spec: SweepSpec, p: SystemParams, g0: float, omega_bracket: tuple) -> dict:
-    row = {"kind": "boundary", "g0_hz": g0 / TAU,
-           "g0_over_kappa": g0 / p.kappa, "error": ""}
+def _boundary_row(spec: SweepSpec, pb: SystemParams, cells: list) -> dict:
+    """The one-phonon boundary of one coupling column from its map rows
+    `cells`, ascending in omega_frac: their n_m - 1 are the samples of
+    `_one_phonon_root`, a failed cell's nan.  A failed end fails the
+    boundary with its own text, as a fresh probe there would; the high end
+    counts only where the low end is above one phonon."""
+    lo, hi = cells[0], cells[-1]
+    row = {"kind": "boundary", "g0_hz": lo["g0_hz"],
+           "g0_over_kappa": lo["g0_over_kappa"], "error": ""}
+    row["error"] = lo["error"] or (hi["error"] if lo["n_m"] > 1.0 else "")
+    if row["error"]:
+        return row
+    xi = spec.squeeze_xi or 0.0
     with _recorded(row):
-        row["omega_frac"] = ground_state_onset_omega(
-            p, g0, spec.mode, spec.cap_fraction, spec.squeeze_xi or 0.0, bracket=omega_bracket)
+        row["omega_frac"] = _one_phonon_root(
+            lambda frac: _map_occupation(pb, frac, spec.mode, spec.cap_fraction, xi) - 1.0,
+            [(c["omega_frac"], c.get("n_m", math.nan) - 1.0) for c in cells])
     return row
+
+
+def _one_phonon_root(excess, samples: list) -> float:
+    """Root of excess(omega) = n_m*(omega) - 1 from samples [(omega,
+    excess)], ascending in omega, which are not evaluated again: above one
+    phonon at the first, below at the last, or a KerrcoolError.  A nan
+    sample (a failed cell) is left out.  Brent's method runs in the first
+    pair of the others, going up in omega, where the sign goes from above
+    to below."""
+    (lo, above), (hi, below) = samples[0], samples[-1]
+    if not (above > 0.0 > below):
+        raise KerrcoolError(
+            "occupation does not cross one phonon inside bracket "
+            f"({float(lo)!r}, {float(hi)!r})")
+    known = [s for s in samples if not math.isnan(s[1])]
+    for (a, fa), (b, fb) in zip(known, known[1:]):
+        if fa > 0.0 >= fb:
+            return _bracketed_root(excess, float(a), float(b), fa, fb)
 
 
 def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
@@ -617,7 +652,8 @@ def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
                              xi: float = 0.0,
                              bracket=(0.01, 0.8)) -> float:
     """Resolved-sideband parameter where the minimum occupation crosses one
-    phonon at fixed coupling: Brent's method on n_m*(omega) - 1."""
+    phonon at fixed coupling: Brent's method on n_m*(omega) - 1 over the
+    whole bracket, its two ends the only samples of `_one_phonon_root`."""
     lo, hi = bracket
     pb = p.replace(g0=g0)
 
@@ -625,12 +661,7 @@ def ground_state_onset_omega(p: SystemParams, g0: float, mode: Mode,
         return _map_occupation(pb, frac, mode, cap_fraction, xi) - 1.0
 
     above = excess(lo)
-    below = excess(hi) if above > 0.0 else math.nan
-    if not (above > 0.0 > below):
-        raise KerrcoolError(
-            "occupation does not cross one phonon inside bracket "
-            f"({float(lo)!r}, {float(hi)!r})")
-    return _bracketed_root(excess, float(lo), float(hi), above, below)
+    return _one_phonon_root(excess, [(lo, above), (hi, excess(hi) if above > 0.0 else math.nan)])
 
 
 # ----------------------------------------------------------------------
@@ -652,12 +683,21 @@ def _profile_rows(spec: SweepSpec, p: SystemParams) -> list:
 
 def _map_rows(spec: SweepSpec, p: SystemParams) -> list:
     """The (g0, omega_frac) cells, then per coupling the one-phonon
-    boundary, found by Brent's method inside the swept window."""
-    g_axis = _g0_values(spec)
+    boundary.  The map runs one coupling column at a time: its cells
+    first, then its boundary from those cells, which reuses them as
+    samples and runs Brent's method in the pair that brackets the crossing."""
     o_axis = _omega_values(spec)
-    bracket = (min(o_axis), max(o_axis))
-    return ([_map_row(spec, p, g, o) for g in g_axis for o in o_axis]
-            + [_boundary_row(spec, p, g, bracket) for g in g_axis])
+    ascending = sorted(range(len(o_axis)), key=o_axis.__getitem__)
+    cells, boundaries = [], []
+    for g0 in _g0_values(spec):
+        try:
+            pb = p.replace(g0=g0)
+        except KerrcoolError:
+            pb = None
+        column = [_map_row(spec, p, g0, o, pb) for o in o_axis]
+        cells += column
+        boundaries.append(_boundary_row(spec, pb, [column[i] for i in ascending]))
+    return cells + boundaries
 
 
 #: Each sweep kind: the axes it reads, whether it reads a purity xi and a mode

@@ -7,7 +7,10 @@ roots of exact slopes, which moved their argmin cells toward the 40-digit
 stationary points.  fig7, fig8 and fig10 were written before the sweep
 kinds and reproduce targets became tables; fig6 and fig8 were written
 again when their constant `converged` columns were dropped, every other
-cell unchanged.  Text cells must match exactly;
+cell unchanged.  appF_points10.csv, at the map benchmark's column density
+of 10 cells (10 columns per mode, 11 of its 20 boundaries crossing inside
+the window), was written before the map ran by coupling column and started
+each boundary in its column's cells.  Text cells must match exactly;
 numeric cells to 1e-10 relative, which leaves room for last-bit rounding
 but not for a changed formula.
 """
@@ -32,6 +35,7 @@ CASES = [
     ("fig9_points3.csv", ["fig9", "--points", "3"]),
     ("fig10_points3.csv", ["fig10", "--points", "3"]),
     ("appF_points3.csv", ["appF", "--points", "3"]),
+    ("appF_points10.csv", ["appF", "--points", "10"]),
     ("table-values.json", ["table-values", "--format", "json"]),
 ]
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import mpmath
@@ -6,6 +8,7 @@ import pytest
 
 import kerrcool as kc
 from kerrcool import oracle, sweeps
+from kerrcool.cli import run_cli
 from kerrcool.params import TAU
 from kerrcool.squeezing import SqueezeSpec
 from kerrcool.steady import state_for_root
@@ -346,3 +349,24 @@ class TestRateFormGap:
         ss = kc.steady_at(p, delta, n_in)
         exact, _ = kc.numeric_occupation(kc.build_matrix(ss, p), kc.input_correlators(p))
         assert (n_rate - exact) / exact == pytest.approx(gap, rel=0.02)
+
+
+class TestSpectrumCommand:
+    # without --detuning-hz, `spectrum` runs at the cooling optimum of its
+    # drive, as `cool` and `squeeze` do, not at Delta_bi, where the drift
+    # matrix is marginal (test_marginal_static_mode_at_critical_drive)
+    @pytest.mark.parametrize("kind", [["nn"], ["bb"], ["ff", "--xi", "0.9"]],
+                             ids=["nn", "bb", "ff"])
+    def test_oracle_at_default_operating_point(self, kind, capsys):
+        assert run_cli(["spectrum", "--oracle", "--points", "11", "--kind", *kind]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 11
+        assert all(math.isfinite(float(row["oracle"])) for row in rows)
+
+    def test_default_detuning_is_the_optimum(self, defaults, crit_drive, capsys):
+        assert run_cli(["spectrum", "--points", "11"]) == 0
+        default = capsys.readouterr().out
+        delta, _ = sweeps.optimal_detuning(defaults, crit_drive)
+        assert run_cli(["spectrum", "--points", "11",
+                        "--detuning-hz", repr(delta / TAU)]) == 0
+        assert capsys.readouterr().out == default

@@ -192,6 +192,70 @@ class TestUnpolishedRoot:
         assert worst <= BISTABLE_RTOL
 
 
+def _three_step_polish(k_eff, delta, kappa, n_in, root):
+    """`steady._polish_root` as it was before it stopped on a step that
+    leaves the root where it is: it always tries every one of the
+    `POLISH_STEPS`.  Returns (root, steps that moved it)."""
+    ld = np.longdouble
+    n = ld(root)
+    d, ka, K, flux = ld(delta), ld(kappa), ld(k_eff), ld(n_in)
+    quarter = ka * ka / ld(4.0)
+    drive = ka * flux
+    two = ld(2.0)
+    shift = d + K * n
+    f = n * (shift * shift + quarter) - drive
+    moved = 0
+    for _ in range(steady.POLISH_STEPS):
+        fp = shift * shift + quarter + two * n * K * shift
+        if fp == 0.0:
+            break
+        candidate = n - f / fp
+        c_shift = d + K * candidate
+        f_new = candidate * (c_shift * c_shift + quarter) - drive
+        if not abs(f_new) <= abs(f):
+            break
+        moved += int(candidate != n)
+        n, f, shift = candidate, f_new, c_shift
+    return float(n), moved
+
+
+class TestPolishEarlyExit:
+    """The polish stops once a step leaves the root where it is; every
+    later step would repeat that step, so the roots are the same."""
+
+    @staticmethod
+    def _starts(defaults):
+        """(k_eff, delta, kappa, n_in, unpolished root) of the samples this
+        file draws: seeded random and near-cusp points, near-cusp drives on
+        seeded systems, and three-root points; both modes, the linear
+        comparison keeping only the mechanical Kerr."""
+        points = list(_sample_points(defaults))
+        rng = np.random.default_rng(8)
+        for p in _variants(defaults, rng, 3):
+            bi = steady.bifurcation(p)
+            for exponent in (-13, -12, -11, -9, -7, -4):
+                points.append((p, bi.delta_bi * (1.0 + rng.uniform(-1e-12, 1e-12)),
+                               bi.n_in_bi * (1.0 - 10.0 ** exponent)))
+        rng = np.random.default_rng(12)
+        for p in _variants(defaults, rng, 2):
+            bi = steady.bifurcation(p)
+            n_in = bi.n_in_bi * rng.uniform(2.0, 3.0)
+            points += [(p, d, n_in) for d in np.linspace(-4.0 * p.kappa, bi.delta_bi, 40)]
+        for p, delta, n_in in points:
+            k_eff = kc.effective_kerr(p)
+            for root in steady._real_roots(k_eff, float(delta), p.kappa, n_in):
+                yield k_eff, float(delta), p.kappa, n_in, max(root, 0.0)
+
+    def test_equals_three_step_polish(self, defaults):
+        moved = []
+        for start in self._starts(defaults):
+            want, steps = _three_step_polish(*start)
+            assert steady._polish_root(*start) == want
+            moved.append(steps)
+        # the early exit is taken: most roots stop moving before the last step
+        assert min(moved) <= 1 and sum(m < steady.POLISH_STEPS for m in moved) > len(moved) / 2
+
+
 def _profile_at(p, d, n_in, xi=0.0):
     """The array rate form at one detuning on the polished vector root:
     (n_m, Gamma_S, Gamma_opt)."""

@@ -1,7 +1,8 @@
 """Exact slopes and the bracketed roots built on them: the rate and root
 derivatives against complex-step and 50-digit mpmath derivatives, the
 1-D optima against 40-digit mpmath stationary points, their independence
-of the coarse grid, and the one-phonon boundary against a bisection."""
+of the coarse grid, the one-phonon boundary against a bisection, and a
+map's boundaries, found from its columns' cells, against it."""
 import math
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 
 import kerrcool as kc
 from kerrcool import cavity, steady, sweeps
+from kerrcool.errors import ConvergenceError
 from kerrcool.params import CRITICAL_POWER_FRACTION, TAU
 
 #: Drive fractions of the bifurcation flux, omega_m/kappa values, and
@@ -301,6 +303,162 @@ class TestOnePhononBoundary:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if above_one(mid) else (lo, mid)
         assert onset == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
+
+    # the map's boundaries, one per coupling column, from the column's cells
+
+    #: omega_frac axis of the map tests: dyadic, so the ascending and the
+    #: descending axis hold the same cells bit for bit
+    OMEGA_AXIS = (0.0625, 0.375, 6)
+
+    @staticmethod
+    def _couplings(mode):
+        """Seeded g0/2pi axis (Hz) whose columns cross one phonon inside
+        `OMEGA_AXIS`: from 16-20 kHz to 35-50 kHz, three log points."""
+        rng = np.random.default_rng(27 + list(sweeps.Mode).index(mode))
+        return float(rng.uniform(16e3, 20e3)), float(rng.uniform(35e3, 50e3)), 3, "log"
+
+    def _map(self, defaults, mode, g0_axis, omega_axis):
+        spec = sweeps.SweepSpec(sweeps.SweepKind.GROUND_STATE_MAP,
+                                {"g0_hz": sweeps.AxisRange(*g0_axis),
+                                 "omega_frac": sweeps.AxisRange(*omega_axis)}, mode)
+        rows = sweeps.run_sweep(spec, defaults)
+        cells = [r for r in rows if r["kind"] == "map"]
+        return [r for r in rows if r["kind"] == "boundary"], cells
+
+    @staticmethod
+    def _crossing_pair(cells, g0_hz):
+        """The first pair of a column's cells, ascending in omega_frac, where
+        n_m goes from above one phonon to below it."""
+        column = sorted((c["omega_frac"], c["n_m"]) for c in cells if c["g0_hz"] == g0_hz)
+        return next((a, b) for (a, na), (b, nb) in zip(column, column[1:])
+                    if na > 1.0 >= nb)
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The omega_frac of every `_map_occupation` call, and the bracket
+        and iteration count of every Brent root on an omega_frac bracket
+        (the detuning searches inside a cell run their own), in call order."""
+        fracs, iterations = [], []
+        occupation, brent = sweeps._map_occupation, sweeps._brent
+
+        def counted_occupation(p, frac, *args):
+            fracs.append(frac)
+            return occupation(p, frac, *args)
+
+        def counted_brent(f, xa, xb, *args):
+            root, count = brent(f, xa, xb, *args)
+            if 0.0 < xa < xb < 1.0:
+                iterations.append((xa, xb, count))
+            return root, count
+
+        monkeypatch.setattr(sweeps, "_map_occupation", counted_occupation)
+        monkeypatch.setattr(sweeps, "_brent", counted_brent)
+        return fracs, iterations
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_map_boundary_inside_crossing_pair(self, defaults, mode):
+        boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
+        assert len(boundaries) == 3 and not any(r["error"] for r in boundaries)
+        for row in boundaries:
+            a, b = self._crossing_pair(cells, row["g0_hz"])
+            assert a < row["omega_frac"] < b
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_map_boundary_equals_full_window_root(self, defaults, mode):
+        boundaries, _ = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
+        window = self.OMEGA_AXIS[:2]
+        for row in boundaries:
+            onset = sweeps.ground_state_onset_omega(defaults, TAU * row["g0_hz"], mode,
+                                                    bracket=window)
+            assert row["omega_frac"] == pytest.approx(onset, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_descending_axis_gives_the_same_boundary(self, defaults, mode):
+        start, stop, count = self.OMEGA_AXIS
+        up, up_cells = self._map(defaults, mode, self._couplings(mode), (start, stop, count))
+        down, down_cells = self._map(defaults, mode, self._couplings(mode), (stop, start, count))
+        # the same cells, listed in the other order, and the same boundaries
+        assert [c["omega_frac"] for c in down_cells[:count]] == \
+            [c["omega_frac"] for c in up_cells[:count]][::-1]
+        assert sorted(map(repr, down_cells)) == sorted(map(repr, up_cells))
+        assert down == up
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_non_crossing_column_evaluates_each_cell_once(self, defaults, mode, monkeypatch):
+        # at 2 kHz the columns stay above one phonon across the window
+        fracs, iterations = self._counted(monkeypatch)
+        boundaries, cells = self._map(defaults, mode, (2e3, 2.5e3, 2), self.OMEGA_AXIS)
+        assert all(r["error"].startswith("occupation does not cross one phonon")
+                   for r in boundaries)
+        assert fracs == [c["omega_frac"] for c in cells]
+        assert iterations == []
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_crossing_column_evaluates_cells_then_brent_iterates(self, defaults, mode,
+                                                                 monkeypatch):
+        fracs, iterations = self._counted(monkeypatch)
+        boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
+        count = self.OMEGA_AXIS[2]
+        axis = [c["omega_frac"] for c in cells[:count]]
+        assert len(iterations) == len(boundaries)
+        for row, (xa, xb, steps) in zip(boundaries, iterations):
+            # the column's cells, then Brent in their crossing pair with one
+            # call per iterate: the last iteration stops without one, and
+            # no end is probed again
+            assert fracs[:count] == axis
+            brent, fracs = fracs[count:count + steps - 1], fracs[count + steps - 1:]
+            assert (xa, xb) == self._crossing_pair(cells, row["g0_hz"])
+            assert brent and all(xa < x < xb for x in brent)
+        assert fracs == []
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    @pytest.mark.parametrize("end", [0, -1])
+    @pytest.mark.parametrize("error", [ConvergenceError("probe failed"),
+                                       RuntimeError("boom")])
+    def test_failed_end_cell_fails_the_boundary(self, defaults, mode, end, error, monkeypatch):
+        failing = self.OMEGA_AXIS[:2][end]
+        occupation = sweeps._map_occupation
+
+        def fail_at_end(p, frac, *args):
+            if frac == failing:
+                raise error
+            return occupation(p, frac, *args)
+
+        monkeypatch.setattr(sweeps, "_map_occupation", fail_at_end)
+        boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
+        failed = [c["error"] for c in cells if c["omega_frac"] == failing]
+        assert len(failed) == 3 and failed[0]
+        assert [r["error"] for r in boundaries] == failed
+        assert not any("omega_frac" in r for r in boundaries)
+
+    def test_refused_coupling_fails_its_column(self, defaults):
+        # the column's system is built once; a coupling it refuses fails
+        # each row of that column, and the sweep goes on
+        boundaries, cells = self._map(defaults, sweeps.Mode.NONLINEAR, (-1e4, 2e4, 3),
+                                      self.OMEGA_AXIS)
+        refused = [r["error"] for r in cells + boundaries if r["g0_hz"] < 0.0]
+        assert len(refused) == self.OMEGA_AXIS[2] + 1
+        assert set(refused) == {f"g0 must be >= 0 and finite, got {TAU * -1e4!r}"}
+        assert not any(r["error"] for r in cells if r["g0_hz"] > 0.0)
+        assert "omega_frac" in boundaries[-1]
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_failed_inner_cell_is_left_out(self, defaults, mode, monkeypatch):
+        occupation = sweeps._map_occupation
+
+        def fail_inside(p, frac, *args):
+            if frac == 0.25:
+                raise ConvergenceError("probe failed")
+            return occupation(p, frac, *args)
+
+        monkeypatch.setattr(sweeps, "_map_occupation", fail_inside)
+        boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
+        assert sum(bool(c["error"]) for c in cells) == 3
+        monkeypatch.setattr(sweeps, "_map_occupation", occupation)
+        for row in boundaries:
+            onset = sweeps.ground_state_onset_omega(defaults, TAU * row["g0_hz"], mode,
+                                                    bracket=self.OMEGA_AXIS[:2])
+            assert row["omega_frac"] == pytest.approx(onset, rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------------
