@@ -34,68 +34,57 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_params(args) -> SystemParams:
-    if getattr(args, "config", None):
+    if args.config:
         return params_from_config(io.read_config_file(args.config))
     return default_params()
 
 
-def _drive(p: SystemParams, args) -> float:
-    """The input flux, checked before any search runs on it: a ConfigError
-    names n_in if it is negative, not finite, or so large that the photon
-    cubic overflows (`steady.checked_drive` at zero detuning)."""
-    n_in = getattr(args, "n_in", None)
+def _point(args, xi: float | None = None):
+    """(system, input flux, detuning, lower-branch state) of a point
+    command.  The flux is checked before any detuning search runs on it: a
+    ConfigError names n_in if it is negative, not finite, or so large that
+    the photon cubic or the photon number overflows (`steady.checked_drive`
+    at zero detuning).  The detuning is `--detuning-hz`, or else the
+    detuning of least occupation at that flux under purity xi (cool,
+    squeeze, spectrum), or else, for xi None, Delta_bi (steady, poles)."""
+    p = _load_params(args)
+    n_in = args.n_in
     if n_in is None:
-        frac = getattr(args, "n_in_frac", None)
+        frac = args.n_in_frac
         n_in = steady.critical_power(p, CRITICAL_POWER_FRACTION if frac is None else frac)
-    return steady.checked_drive(p, 0.0, n_in)
-
-
-def _detuning(p: SystemParams, args) -> float:
-    if getattr(args, "detuning_hz", None) is not None:
-        return TAU * args.detuning_hz
-    return steady.bifurcation(p).delta_bi
-
-
-def _cooling_detuning(p: SystemParams, args, n_in: float, xi: float = 0.0) -> float:
-    """`--detuning-hz`, or the detuning of least occupation at drive n_in
-    under purity xi: the default of cool, squeeze and spectrum."""
+    n_in = steady.checked_drive(p, 0.0, n_in)
     if args.detuning_hz is not None:
-        return TAU * args.detuning_hz
-    return sweeps.optimal_detuning(p, n_in, xi=xi)[0]
-
-
-def _emit_rows(rows, args):
-    if args.format == "json":
-        io.emit(io.to_json(rows), args.out)
+        delta = TAU * args.detuning_hz
+    elif xi is None:
+        delta = steady.bifurcation(p).delta_bi
     else:
-        io.emit(io.rows_to_csv(rows), args.out)
+        delta = sweeps.optimal_detuning(p, n_in, xi=xi)[0]
+    return p, n_in, delta, steady.steady_at(p, delta, n_in)
+
+
+def _rows_text(rows, fmt: str) -> str:
+    return io.to_json(rows) if fmt == "json" else io.rows_to_csv(rows)
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output text
 
-def _cmd_steady(args) -> int:
-    p = _load_params(args)
+def _cmd_steady(args) -> str:
+    p, n_in, delta, ss = _point(args)
     bi = steady.bifurcation(p)
-    delta = _detuning(p, args)
-    n_in = _drive(p, args)
-    branches = steady.photon_branches(p, delta, n_in)
-    ss = steady.steady_at(p, delta, n_in)
-    payload = {
+    return io.to_json({
         "bifurcation": {"delta_bi_rad_s": bi.delta_bi, "n_bi": bi.n_bi,
                         "n_in_bi_per_s": bi.n_in_bi},
         "detuning_rad_s": delta,
         "n_in_per_s": n_in,
-        "branches": [{"n_c": r, "stable": s} for r, s in branches],
+        "branches": [{"n_c": r, "stable": s} for r, s in steady.photon_branches(p, delta, n_in)],
         "steady_state": {
             "n_c": ss.n_c, "phi_c_rad": ss.phi_c, "k_eff_rad_s": ss.k_eff,
             "delta_tilde_rad_s": ss.delta_tilde, "lambda_abs_rad_s": ss.lambda_abs,
             "g_abs_rad_s": ss.g_abs, "q_static": ss.q_static,
             "branch": ss.branch.value, "delta_eff_rad_s": ss.delta_eff,
         },
-    }
-    io.emit(io.to_json(payload), args.out)
-    return 0
+    })
 
 
 def _spectrum_grid(p: SystemParams, args) -> np.ndarray:
@@ -109,41 +98,45 @@ def _spectrum_grid(p: SystemParams, args) -> np.ndarray:
     return grid
 
 
-def _cmd_spectrum(args) -> int:
-    p = _load_params(args)
-    n_in = _drive(p, args)
-    xi = (args.xi or 0.0) if args.kind == "ff" else 0.0
-    ss = steady.steady_at(p, _cooling_detuning(p, args, n_in, xi), n_in)
+def _squeeze_from_args(ss, p, args) -> squeezing.SqueezeSpec:
+    if args.xi is None:
+        return squeezing.SqueezeSpec.vacuum()
+    if args.squeeze_db is not None:
+        sq = squeezing.SqueezeSpec.from_db(args.xi, args.squeeze_db)
+        return sq.with_phase(squeezing.optimal_phase(ss, p))
+    if args.n_s is not None:
+        return squeezing.SqueezeSpec.from_n_s(args.xi, args.n_s, squeezing.optimal_phase(ss, p))
+    return squeezing.matched_squeeze(ss, p, args.xi)
+
+
+def _cmd_spectrum(args) -> str:
+    ff = args.kind == "ff"
+    p, _, _, ss = _point(args, (args.xi or 0.0) if ff else 0.0)
     grid = _spectrum_grid(p, args)
-    if args.kind == "nn":
-        spec = cavity.photon_spectrum(ss, p, grid)
-    elif args.kind == "bb":
-        spec = cooling.mech_noise_spectrum(ss, p, grid)
-    else:
+    sq = None
+    if ff:
         sq = _squeeze_from_args(ss, p, args)
-        spec = cavity.Spectrum(grid=grid,
-                               values=squeezing.squeezed_force_spectrum(ss, p, sq, grid))
-    columns = {"omega_rad_s": spec.grid, f"s_{args.kind}": spec.values}
+        values = squeezing.squeezed_force_spectrum(ss, p, sq, grid)
+    elif args.kind == "nn":
+        values = cavity.photon_spectrum(ss, p, grid).values
+    else:
+        values = cooling.mech_noise_spectrum(ss, p, grid).values
+    columns = {"omega_rad_s": grid, f"s_{args.kind}": values}
     if args.oracle:
-        sq = _squeeze_from_args(ss, p, args) if args.kind == "ff" else None
         dm = oracle.build_matrix(ss, p)
         corr = oracle.input_correlators(p, sq, ss.phi_c)
         columns["oracle"] = oracle.numeric_spectrum(dm, corr, args.kind, grid).values
     if args.format == "csv":
-        io.emit(io.columns_to_csv(columns), args.out)
-    else:
-        _emit_rows([dict(zip(columns, cells))
-                    for cells in zip(*(c.tolist() for c in columns.values()))], args)
-    return 0
+        return io.columns_to_csv(columns)
+    return io.to_json([dict(zip(columns, cells))
+                       for cells in zip(*(c.tolist() for c in columns.values()))])
 
 
-def _cmd_poles(args) -> int:
-    p = _load_params(args)
-    n_in = _drive(p, args)
-    ss = steady.steady_at(p, _detuning(p, args), n_in)
+def _cmd_poles(args) -> str:
+    p, n_in, _, ss = _point(args)
     ps = cavity.cavity_poles(ss, p)
     ep_minus, ep_plus = cavity.exceptional_points(p, n_in)
-    payload = {
+    return io.to_json({
         "poles_rad_s": [{"re": w.real, "im": w.imag} for w in ps.poles],
         "region": ps.region.value,
         "radicand": ps.radicand,
@@ -151,66 +144,35 @@ def _cmd_poles(args) -> int:
         "at_decay_extremum": ps.at_decay_extremum,
         "ep_delta_minus_rad_s": ep_minus,
         "ep_delta_plus_rad_s": ep_plus,
-    }
-    io.emit(io.to_json(payload), args.out)
-    return 0
+    })
 
 
-def _cmd_cool(args) -> int:
-    p = _load_params(args)
-    n_in = _drive(p, args)
-    delta = _cooling_detuning(p, args, n_in)
-    ss = steady.steady_at(p, delta, n_in)
+def _cmd_cool(args) -> str:
+    p, n_in, delta, ss = _point(args, 0.0)
     rep = cooling.occupation(ss, p)
-    payload = rep.to_dict()
-    payload["detuning_rad_s"] = delta
-    payload["n_in_per_s"] = n_in
+    payload = dict(rep.to_dict(), detuning_rad_s=delta, n_in_per_s=n_in)
     if args.oracle:
         dm = oracle.build_matrix(ss, p)
         value, err = oracle.numeric_occupation(dm, oracle.input_correlators(p))
-        payload["n_oracle"] = value
-        payload["n_oracle_err"] = err
-        payload["oracle_rel_gap"] = abs(value - rep.n_rate) / rep.n_rate
-    if args.format == "csv":
-        io.emit(io.rows_to_csv([payload]), args.out)
-    else:
-        io.emit(io.to_json(payload), args.out)
-    return 0
+        payload.update(n_oracle=value, n_oracle_err=err,
+                       oracle_rel_gap=abs(value - rep.n_rate) / rep.n_rate)
+    return io.to_json(payload) if args.format == "json" else io.rows_to_csv([payload])
 
 
-def _squeeze_from_args(ss, p, args) -> squeezing.SqueezeSpec:
-    xi = getattr(args, "xi", None)
-    if xi is None:
-        return squeezing.SqueezeSpec.vacuum()
-    db = getattr(args, "squeeze_db", None)
-    if db is not None:
-        sq = squeezing.SqueezeSpec.from_db(xi, db)
-        return sq.with_phase(squeezing.optimal_phase(ss, p))
-    n_s = getattr(args, "n_s", None)
-    if n_s is not None:
-        return squeezing.SqueezeSpec.from_n_s(xi, n_s, squeezing.optimal_phase(ss, p))
-    return squeezing.matched_squeeze(ss, p, xi)
-
-
-def _cmd_squeeze(args) -> int:
-    p = _load_params(args)
-    n_in = _drive(p, args)
-    delta = _cooling_detuning(p, args, n_in, args.xi)
-    ss = steady.steady_at(p, delta, n_in)
+def _cmd_squeeze(args) -> str:
+    p, n_in, delta, ss = _point(args, args.xi)
     sq = squeezing.matched_squeeze(ss, p, args.xi)
     n_ba_squeezed, wp, *_ = squeezing.squeezed_backaction(ss, p, args.xi)
-    payload = sq.to_dict()
-    payload.update({
-        "detuning_rad_s": delta,
-        "n_in_per_s": n_in,
-        "optimal_phase_rad": sq.phase,
-        "wp": wp,
-        "n_ba_vacuum": cooling.backaction_limit(p, ss.delta_eff),
-        "n_ba_squeezed": n_ba_squeezed,
-        "n_m_squeezed": squeezing.occupation_with_squeezing(ss, p, sq),
-    })
-    io.emit(io.to_json(payload), args.out)
-    return 0
+    return io.to_json(dict(
+        sq.to_dict(),
+        detuning_rad_s=delta,
+        n_in_per_s=n_in,
+        optimal_phase_rad=sq.phase,
+        wp=wp,
+        n_ba_vacuum=cooling.backaction_limit(p, ss.delta_eff),
+        n_ba_squeezed=n_ba_squeezed,
+        n_m_squeezed=squeezing.occupation_with_squeezing(ss, p, sq),
+    ))
 
 
 def _spec_number(convert, raw: str, what: str):
@@ -262,12 +224,10 @@ def spec_from_document(doc: dict) -> SweepSpec:
                      squeeze_xi=xi)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     p = _load_params(args)
     spec = spec_from_document(io.read_config_file(args.specfile))
-    rows = sweeps.run_sweep(spec, p)
-    _emit_rows(rows, args)
-    return 0
+    return _rows_text(sweeps.run_sweep(spec, p), args.format)
 
 
 # ----------------------------------------------------------------------
@@ -350,14 +310,9 @@ _REPRODUCE = {
 REPRODUCE_TARGETS = tuple(_REPRODUCE)
 
 
-def _cmd_reproduce(args) -> int:
-    p = _load_params(args)
-    result = _REPRODUCE[args.target](p, args.points)
-    if isinstance(result, dict):
-        io.emit(io.to_json(result), args.out)
-    else:
-        _emit_rows(result, args)
-    return 0
+def _cmd_reproduce(args) -> str:
+    result = _REPRODUCE[args.target](_load_params(args), args.points)
+    return io.to_json(result) if isinstance(result, dict) else _rows_text(result, args.format)
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +420,7 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        io.emit(args.func(args), args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:
@@ -474,6 +429,7 @@ def run_cli(argv=None) -> int:
     except KerrcoolError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
+    return 0
 
 
 def main() -> None:

@@ -32,8 +32,8 @@ def read_key_value_text(text: str) -> dict:
 
 def read_config_file(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return read_key_value_text(text)
 
@@ -123,8 +123,12 @@ def to_json(payload) -> str:
 
 
 def emit(text: str, out: str | None):
-    """Write to a file or stdout."""
+    """Write to a file or stdout; a file that cannot be written is a
+    ConfigError naming its path."""
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out}: {exc}") from exc

@@ -41,11 +41,14 @@ def correlators_from_chi(kappa: float, chi_abs: float):
 
 
 def _check_drive(xi: float, n_s: float) -> None:
-    """A purity in [0, 1] and a normal correlator N_s >= 0, or ConfigError."""
+    """A purity in [0, 1] and a normal correlator N_s >= 0 whose anomalous
+    partner M_s = sqrt(N_s (N_s + 1)) is finite, or ConfigError."""
     if not 0.0 <= xi <= 1.0:
         raise ConfigError(f"purity must lie in [0, 1], got {xi!r}")
     if not n_s >= 0.0:
         raise ConfigError(f"n_s must be >= 0, got {n_s!r}")
+    if not math.isfinite(n_s * (n_s + 1.0)):
+        raise ConfigError(f"n_s must keep M_s = sqrt(N_s (N_s + 1)) finite, got {n_s!r}")
 
 
 def squeezing_factor(xi: float, n_s: float) -> float:
@@ -92,7 +95,14 @@ class SqueezeSpec:
 
     @classmethod
     def from_db(cls, xi: float, db: float, phase: float = 0.0) -> "SqueezeSpec":
-        return cls.from_n_s(xi, n_s_from_factor(xi, factor_from_db(db)), phase)
+        try:
+            n_s = n_s_from_factor(xi, factor_from_db(db))
+        except OverflowError:
+            n_s = math.inf
+        if n_s == math.inf:
+            raise ConfigError(f"squeeze_db must keep N_s = sinh^2(r) / xi finite,"
+                              f" got {db!r} dB at purity {xi!r}")
+        return cls.from_n_s(xi, n_s, phase)
 
     @classmethod
     def from_chi(cls, xi: float, kappa: float, chi_abs: float,

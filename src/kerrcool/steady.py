@@ -245,11 +245,18 @@ def root_slopes(p: SystemParams, delta, n_c):
 def checked_drive(p: SystemParams, delta: float, n_in: float) -> float:
     """n_in, or a ConfigError naming it where it is negative, not finite,
     or overflows the photon cubic's resolvent at `delta` (at delta = 0,
-    above about 9.9e152 / (kappa K_eff) photons/s)."""
+    above about 9.9e152 / (kappa K_eff) photons/s), or where the square of
+    4 n_in / kappa, the most photons any detuning and Kerr constant reach,
+    overflows: the bound that holds a cavity with K_eff = 0, which has no
+    cubic, to finite spectra."""
     OperatingPoint(delta, n_in)
     if not math.isfinite(_resolvent(effective_kerr(p), delta, p.kappa, n_in)[2]):
         raise ConfigError(f"n_in must keep the photon cubic finite: {n_in!r} photons/s "
                           f"overflows its resolvent at detuning {delta!r} rad/s")
+    n_max = 4.0 * n_in / p.kappa
+    if not math.isfinite(n_max * n_max):
+        raise ConfigError(f"n_in must keep the photon number finite: {n_in!r} photons/s "
+                          f"overflows the square of 4 n_in / kappa")
     return n_in
 
 

@@ -13,12 +13,19 @@ the window), was written before the map ran by coupling column and started
 each boundary in its column's cells.  Text cells must match exactly;
 numeric cells to 1e-10 relative, which leaves room for last-bit rounding
 but not for a changed formula.
+
+full_resolution.sha256 pins the bytes of every target at its default
+resolution.  All but appF (about 7 s) are checked here; the README's loop
+checks all 11.  The sums were written with an 80-bit long double, which
+the scalar root's polish runs in, so elsewhere that check is skipped.
 """
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerrcool.cli import run_cli
@@ -87,3 +94,16 @@ def test_profile_targets_are_one_dataset(target, tmp_path):
     for t, out in outs.items():
         assert run_cli(["reproduce", t, "--points", "101", "--out", str(out)]) == 0
     assert outs[target].read_bytes() == outs["fig2"].read_bytes()
+
+
+SUMS = {name: digest for digest, name in
+        (line.split() for line in (GOLDEN / "full_resolution.sha256").read_text().splitlines())}
+
+
+@pytest.mark.skipif((np.finfo(np.longdouble).nmant, np.finfo(np.longdouble).nexp) != (63, 15),
+                    reason="the sums were written with the 80-bit x87 long double")
+@pytest.mark.parametrize("name", [name for name in SUMS if name != "appF.csv"])
+def test_default_resolution_bytes(name, tmp_path):
+    out = tmp_path / name
+    assert run_cli(["reproduce", Path(name).stem, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUMS[name]

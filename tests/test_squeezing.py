@@ -70,6 +70,18 @@ class TestCorrelators:
         with pytest.raises(ConfigError, match="purity xi must be positive"):
             SqueezeSpec.from_db(0.0, 3.0)
 
+    def test_overflowing_correlators_are_config_errors(self):
+        # M_s = sqrt(N_s (N_s + 1)) must stay finite, and so must N_s from dB
+        for n_s in (math.inf, 1e300, 1.4e154):
+            with pytest.raises(ConfigError, match="n_s must keep M_s"):
+                SqueezeSpec.from_n_s(0.5, n_s)
+        assert math.isfinite(SqueezeSpec.from_n_s(0.5, 1e154).m_s)
+        for db in (7000.0, -7000.0, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="squeeze_db"):
+                SqueezeSpec.from_db(0.5, db)
+        with pytest.raises(ConfigError, match="squeeze_db"):
+            SqueezeSpec.from_db(1e-320, 3.0)
+
 
 class TestForceSpectrum:
     def test_vacuum_reduction(self, defaults, crit_drive):

@@ -734,3 +734,48 @@ class TestCli:
         assert run_cli(["reproduce", "fig6", "--points", "3", "--jobs", "2",
                         "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+class TestInputFaults:
+    """Inputs that once escaped the exit-code contract as a traceback or as
+    a warning with non-finite cells: each is config error 2 now, naming the
+    faulty input, with nothing on stdout."""
+
+    @staticmethod
+    def _refused(argv, capsys, start):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {start}")
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        for command in (["steady"], ["reproduce", "table-values"]):
+            for out in (tmp_path / "no-dir" / "out.txt", tmp_path):
+                self._refused([*command, "--out", str(out)], capsys,
+                              f"cannot write output {out}")
+
+    def test_config_and_spec_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.cfg"
+        bad.write_bytes(b"\xff\xfek\x00i\x00n\x00d\x00")
+        for argv in (["steady", "--config", str(bad)], ["sweep", str(bad)]):
+            self._refused(argv, capsys, f"cannot read config {bad}")
+
+    def test_squeezed_drive_overflow(self, capsys):
+        ff = ["spectrum", "--kind", "ff", "--xi", "0.5", "--points", "11"]
+        for extra, start in ((["--squeeze-db", "7000"], "squeeze_db"),
+                             (["--squeeze-db", "inf"], "squeeze_db"),
+                             (["--n-s", "inf"], "n_s"),
+                             (["--n-s", "1e300", "--oracle"], "n_s")):
+            self._refused([*ff, *extra], capsys, start)
+
+    def test_linear_cavity_drive_overflow(self, tmp_path, capsys):
+        # K_eff = 0 has no photon cubic whose resolvent bounds the drive
+        linear = tmp_path / "linear.cfg"
+        linear.write_text("f_m = 300e3\ngamma_m = 100\nkappa = 3e6\nkerr = 0\n"
+                          "g0 = 0\nn_th = 2778\n")
+        for n_in in ("1e300", "1e308"):
+            for command in (["cool"], ["spectrum", "--points", "11"]):
+                self._refused([*command, "--config", str(linear), "--n-in", n_in], capsys,
+                              "n_in must keep the photon number finite")
+        assert run_cli(["cool", "--config", str(linear), "--n-in", "1e160"]) == 0
