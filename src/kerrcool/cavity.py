@@ -318,13 +318,21 @@ def effective_skewness(p: SystemParams, n_in: float, delta: float) -> float:
             - skew.skewness(_steady.steady_at(p.without_kerr(), delta, n_in)))
 
 
-def _rate_parts(p: SystemParams, delta, n_c):
+def _squares(p):
+    """(g0^2, omega_m^2, kappa^2) of p by the float `** 2`: the one rounding
+    of these squares in every rate, lanes of arrays included, which carry
+    each system's floats as columns."""
+    return p.g0 ** 2, p.omega_m ** 2, p.kappa ** 2
+
+
+def _rate_parts(p, sq, delta, n_c):
     """|Lambda| = K n_c, Delta~, and the core and the denominator of the
     spectrum at +-omega_m: the pieces `rates` and `rate_slopes` share."""
+    _, om2, ka2 = sq
     lam = p.kerr * n_c
     dt = delta + 2.0 * lam
-    core = dt * dt - p.omega_m ** 2 + p.kappa ** 2 / 4.0 - lam * lam
-    return lam, dt, core, core * core + p.kappa ** 2 * p.omega_m ** 2
+    core = dt * dt - om2 + ka2 / 4.0 - lam * lam
+    return lam, dt, core, core * core + ka2 * om2
 
 
 def rates(p: SystemParams, delta, n_c):
@@ -333,11 +341,17 @@ def rates(p: SystemParams, delta, n_c):
     strength |Lambda| = K n_c: Gamma_S = g0^2 S_nn[-omega_m] and
     Gamma_opt = Gamma_AS - Gamma_S.  Squares are products, so floats round
     like arrays."""
-    lam, dt, _, den = _rate_parts(p, delta, n_c)
+    return _rates(p, _squares(p), delta, n_c)
+
+
+def _rates(p, sq, delta, n_c):
+    """`rates` given `_squares(p)`; the fields of p may be arrays of lanes."""
+    g02, _, ka2 = sq
+    lam, dt, _, den = _rate_parts(p, sq, delta, n_c)
     d_eff = lam - dt
     red = d_eff - p.omega_m
-    g_s = p.g0 ** 2 * n_c * p.kappa * (red * red + p.kappa ** 2 / 4.0) / den
-    g_opt = 4.0 * p.g0 ** 2 * n_c * d_eff * p.kappa * p.omega_m / den
+    g_s = g02 * n_c * p.kappa * (red * red + ka2 / 4.0) / den
+    g_opt = 4.0 * g02 * n_c * d_eff * p.kappa * p.omega_m / den
     return g_s, g_opt
 
 
@@ -345,17 +359,23 @@ def rate_slopes(p: SystemParams, delta, n_c, d_delta, d_n):
     """Directional derivative (dGamma_S, dGamma_opt) of `rates` when the
     detuning moves by `d_delta` and the photon number by `d_n`; plain
     arithmetic, so it serves floats and arrays as `rates` does."""
-    lam, dt, core, den = _rate_parts(p, delta, n_c)
+    return _rate_slopes(p, _squares(p), delta, n_c, d_delta, d_n)
+
+
+def _rate_slopes(p, sq, delta, n_c, d_delta, d_n):
+    """`rate_slopes` given `_squares(p)`; the fields of p may be arrays."""
+    g02, _, ka2 = sq
+    lam, dt, core, den = _rate_parts(p, sq, delta, n_c)
     d_lam = p.kerr * d_n
     d_dt = d_delta + 2.0 * d_lam
     d_eff, dd_eff = lam - dt, d_lam - d_dt
     # d(den)/den, with d(core) = 2 (Delta~ dDelta~ - |Lambda| d|Lambda|)
     d_log_den = 4.0 * core * (dt * d_dt - lam * d_lam) / den
     red = d_eff - p.omega_m
-    lorentz = red * red + p.kappa ** 2 / 4.0
-    dg_s = p.g0 ** 2 * p.kappa * (d_n * lorentz + n_c * (2.0 * red * dd_eff
-                                                          - lorentz * d_log_den)) / den
-    dg_opt = 4.0 * p.g0 ** 2 * p.kappa * p.omega_m * (
+    lorentz = red * red + ka2 / 4.0
+    dg_s = g02 * p.kappa * (d_n * lorentz + n_c * (2.0 * red * dd_eff
+                                                   - lorentz * d_log_den)) / den
+    dg_opt = 4.0 * g02 * p.kappa * p.omega_m * (
         d_n * d_eff + n_c * (dd_eff - d_eff * d_log_den)) / den
     return dg_s, dg_opt
 

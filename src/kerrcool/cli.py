@@ -332,11 +332,13 @@ def _bounded(convert, lo, hi=math.inf):
 
 
 #: A grid size, a `--jobs` value (accepted, unused), a squeezing purity,
-#: and a spectrum half span, whose grid width 4 pi span must stay finite.
+#: and a spectrum half span: the spectra's denominators grow as omega^4,
+#: so the angular end of the grid keeps its fourth power finite (every
+#: kind, with and without --oracle, evaluates up to this bound).
 _grid_points = _bounded(int, 2)
 _jobs = _bounded(int, 1)
 _purity = _bounded(float, 0.0, 1.0)
-_span_hz = _bounded(float, 0.0, sys.float_info.max / (2.0 * TAU))
+_span_hz = _bounded(float, 0.0, math.sqrt(math.sqrt(sys.float_info.max)) / TAU)
 
 
 def _add_common(sub):

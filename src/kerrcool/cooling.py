@@ -83,7 +83,8 @@ def rate_occupation(p: SystemParams, g_s, g_opt, xi: float = 0.0):
     """(n_m, backaction share) of the rate form (gamma_m n_th + (1 - xi) Gamma_S)
     / (gamma_m + Gamma_opt), on floats by plain arithmetic or on arrays: n_th
     where both rates are 0, +inf where not finite and positive, and +inf with
-    a nan share where gamma_m + Gamma_opt <= 0."""
+    a nan share where gamma_m + Gamma_opt <= 0.  On arrays, the fields of p
+    may be arrays of lanes too."""
     g = (1.0 - xi) * g_s
     denom = p.gamma_m + g_opt
     if isinstance(denom, float):
@@ -97,7 +98,8 @@ def rate_occupation(p: SystemParams, g_s, g_opt, xi: float = 0.0):
         n_m, share = (p.gamma_m * p.n_th + g) / denom, g / denom
     n_m[~((denom > 0.0) & (n_m > 0.0) & (n_m < np.inf))] = np.inf
     if not g_opt.all():   # Gamma_opt = 0 only decoupled or at Delta_eff = 0: mostly skipped
-        n_m[(g == 0.0) & (g_opt == 0.0)] = p.n_th
+        idle = (g == 0.0) & (g_opt == 0.0)
+        n_m[idle] = np.broadcast_to(p.n_th, idle.shape)[idle]
     share[denom <= 0.0] = np.nan
     return n_m, share
 

@@ -26,6 +26,9 @@ path and `cubic_discriminant_rel` build on `_resolvent`:
   bracket or a cell for the optimizers; none of its roots is reported.
 * The reported grid (`lower_branch_array`): the ranking grid plus the
   vector `_newton_polish`; it serves the columns of detuning profiles.
+  Its core `_polished_lower` also takes K_eff and the drive as arrays:
+  the lock-step lanes of a map's searches, one system per element, each
+  the twin of the scalar path on its own floats.
 * The scalar path (`_real_roots`, `_polish_root`, `lower_root`,
   `photon_branches`) serves point solves and every number an optimizer
   reports, in plain float arithmetic with an `np.longdouble` polish, at
@@ -142,27 +145,25 @@ def _newton_polish(k_eff, delta, kappa, n_in, roots):
     |f|; elsewhere the point stays where it is.  At a (near-)multiple root
     the raw Newton step is noise over noise and must not move the root.
     The start is a closed-form root, so no line search is needed.  The
-    residual of each accepted point is carried into the next step instead
-    of being evaluated again.
+    residual and the shift Delta + K n of each accepted point are carried
+    into the next step instead of being evaluated again.
     """
     ld = np.longdouble
     n = roots.astype(ld)
     d, ka, K, flux = ld(delta), ld(kappa), ld(k_eff), ld(n_in)
     quarter = ka * ka / ld(4.0)
-
-    def f_of(x):
-        shift = d + K * x
-        return x * (shift * shift + quarter) - ka * flux
-
-    f = f_of(n)
+    drive = ka * flux
+    two = ld(2.0)
+    shift = d + K * n
+    f = n * (shift * shift + quarter) - drive
     for _ in range(POLISH_STEPS):
-        shift = d + K * n
-        fp = shift * shift + quarter + ld(2.0) * n * K * shift
-        step = np.where(fp != 0.0, f / np.where(fp != 0.0, fp, ld(1.0)), ld(0.0))
-        f_new = f_of(n - step)
+        fp = shift * shift + quarter + two * n * K * shift
+        candidate = n - np.divide(f, fp, out=np.zeros_like(f), where=fp != 0.0)
+        c_shift = d + K * candidate
+        f_new = candidate * (c_shift * c_shift + quarter) - drive
         better = np.abs(f_new) <= np.abs(f)
-        n = np.where(better, n - step, n)
-        f = np.where(better, f_new, f)
+        n, f, shift = (np.where(better, new, old)
+                       for new, old in ((candidate, n), (f_new, f), (c_shift, shift)))
     return np.asarray(n, dtype=float)
 
 
@@ -237,9 +238,13 @@ def root_slopes(p: SystemParams, delta, n_c):
     """(dn_c/dDelta, dn_c/dn_in) along a root n_c of the photon cubic, on
     floats or arrays, by implicit differentiation:
     -2 n_c (Delta + K_eff n_c) / f' and kappa / f', f' = `branch_slope`."""
-    k_eff = effective_kerr(p)
-    fp = branch_slope(k_eff, delta, p.kappa, n_c)
-    return -2.0 * n_c * (delta + k_eff * n_c) / fp, p.kappa / fp
+    return _root_slopes(effective_kerr(p), p.kappa, delta, n_c)
+
+
+def _root_slopes(k_eff, kappa, delta, n_c):
+    """`root_slopes` given K_eff and kappa, which may be arrays of lanes."""
+    fp = branch_slope(k_eff, delta, kappa, n_c)
+    return -2.0 * n_c * (delta + k_eff * n_c) / fp, kappa / fp
 
 
 def checked_drive(p: SystemParams, delta: float, n_in: float) -> float:
@@ -299,7 +304,13 @@ def _lower_closed_form(p: SystemParams, deltas, n_in):
     k_eff = effective_kerr(p)
     if k_eff == 0.0:
         return p.kappa * n_in / (deltas * deltas + p.kappa * p.kappa / 4.0)
-    l0, l1, disc = _resolvent(k_eff, deltas, p.kappa, n_in)
+    return _closed_form(k_eff, deltas, p.kappa, n_in)
+
+
+def _closed_form(k_eff, deltas, kappa, n_in):
+    """`_lower_closed_form` of a cubic with K_eff > 0 and a positive drive;
+    K_eff and n_in may be arrays that broadcast against `deltas`."""
+    l0, l1, disc = _resolvent(k_eff, deltas, kappa, n_in)
     # where D <= 0 Cardano's root is NaN or wrong; Viete's replaces it
     with np.errstate(invalid="ignore", divide="ignore"):
         sigma = np.cbrt(l1 + np.copysign(np.sqrt(disc), l1))
@@ -317,11 +328,17 @@ def lower_branch_array(p: SystemParams, deltas, n_in: float):
     """Smallest non-negative real root for every detuning in `deltas`: the
     closed form, polished.  Vectorized fast path used by sweeps; agrees
     with photon_branches."""
-    lower = _lower_closed_form(p, deltas, n_in)
     k_eff = effective_kerr(p)
     if n_in == 0.0 or k_eff == 0.0:
-        return lower
-    lower = _newton_polish(k_eff, np.asarray(deltas, dtype=float), p.kappa, n_in, lower)
+        return _lower_closed_form(p, deltas, n_in)
+    return _polished_lower(k_eff, np.asarray(deltas, dtype=float), p.kappa, n_in)
+
+
+def _polished_lower(k_eff, deltas, kappa, n_in):
+    """`lower_branch_array` of a cubic with K_eff > 0 and a positive drive;
+    K_eff and n_in may be arrays of lanes, each the twin of `_lower_root`
+    at its own floats."""
+    lower = _newton_polish(k_eff, deltas, kappa, n_in, _closed_form(k_eff, deltas, kappa, n_in))
     return np.maximum(lower, 0.0)
 
 
@@ -341,14 +358,18 @@ def single_stable_root(p: SystemParams, deltas, n_in: float, n_c):
 def lower_root(p: SystemParams, delta: float, n_in: float) -> float:
     """Smallest non-negative real root at one detuning: `lower_branch_array`
     for a single point, step for step, without the array overhead."""
+    return _lower_root(effective_kerr(p), p.kappa, delta, n_in)
+
+
+def _lower_root(k_eff: float, kappa: float, delta: float, n_in: float) -> float:
+    """`lower_root` given K_eff and kappa."""
     if n_in == 0.0:
         return 0.0
-    k_eff = effective_kerr(p)
     delta, n_in = float(delta), float(n_in)
     if k_eff == 0.0:
-        return p.kappa * n_in / (delta * delta + p.kappa * p.kappa / 4.0)
-    lower = max(_real_roots(k_eff, delta, p.kappa, n_in)[0], 0.0)
-    return max(_polish_root(k_eff, delta, p.kappa, n_in, lower), 0.0)
+        return kappa * n_in / (delta * delta + kappa * kappa / 4.0)
+    lower = max(_real_roots(k_eff, delta, kappa, n_in)[0], 0.0)
+    return max(_polish_root(k_eff, delta, kappa, n_in, lower), 0.0)
 
 
 def bifurcation(p: SystemParams) -> BifurcationData:

@@ -17,10 +17,14 @@ Conventions shared by the sweep kinds:
 Each of these choices is made in one place.  `_equal_drive_target` gives
 the system and drive of every equal-drive comparison (sideband rows, map
 cells, boundary probes, the detuning-profile sweep).  A ground-state map
-cell and a probe of its one-phonon boundary are one function,
-`_map_occupation`.  The map runs one coupling column at a time: its cells,
-then its boundary, a Brent root started in the pair of cells that brackets
-the crossing, so no cell is evaluated twice.  Each sweep kind is one entry
+cell and a probe of its one-phonon boundary set up their system in one
+function, `_map_cell`.  Each map cell ranks its own detuning grid; then the
+detuning searches of all the sweep's cells run as lock-step lanes of
+Brent's method (`_search_cells`), one array evaluation per iterate, bit
+for bit as `optimal_detuning` on each cell.  The boundaries follow, column
+by column, on the scalar path (`_map_occupation`): a Brent root started in
+the pair of cells that brackets the crossing, so no cell is evaluated
+twice.  Each sweep kind is one entry
 of `_KINDS`: the axes, purity and mode it reads, which `SweepSpec` checks,
 and its rows.  The reproduce targets fig2, fig3 and fig5 are one
 `detuning_profile` dataset.
@@ -125,10 +129,11 @@ def _rates_and_slopes(p: SystemParams, delta: float, n_in: float, along_flux: bo
     """(Gamma_S, Gamma_opt) on the lower branch and their derivatives along
     the detuning, or along the input flux."""
     delta = float(delta)
-    n_c = steady.lower_root(p, delta, n_in)
-    dn_ddelta, dn_dflux = steady.root_slopes(p, delta, n_c)
+    k_eff, sq = steady.effective_kerr(p), cavity._squares(p)
+    n_c = steady._lower_root(k_eff, p.kappa, delta, n_in)
+    dn_ddelta, dn_dflux = steady._root_slopes(k_eff, p.kappa, delta, n_c)
     step = (0.0, dn_dflux) if along_flux else (1.0, dn_ddelta)
-    return cavity.rates(p, delta, n_c), cavity.rate_slopes(p, delta, n_c, *step)
+    return cavity._rates(p, sq, delta, n_c), cavity._rate_slopes(p, sq, delta, n_c, *step)
 
 
 def _occupation_lane(p: SystemParams, delta: float, n_in: float, xi: float = 0.0,
@@ -142,9 +147,43 @@ def _occupation_lane(p: SystemParams, delta: float, n_in: float, xi: float = 0.0
     return n_m, (((1.0 - xi) * dg_s - n_m * dg_opt) / denom if denom > 0.0 else math.nan)
 
 
+def _lane_columns(systems: list, n_in: list) -> SimpleNamespace:
+    """The systems and drives of many lanes as one column per field, each
+    element the scalar lane's own float: K_eff and the squares of
+    `cavity._squares` are formed per system, not on the columns."""
+    cols = {name: np.array([getattr(s, name) for s in systems])
+            for name in ("kerr", "omega_m", "kappa", "g0", "gamma_m", "n_th")}
+    cols["k_eff"] = np.array([steady.effective_kerr(s) for s in systems])
+    cols["sq"] = np.array([cavity._squares(s) for s in systems]).T
+    return SimpleNamespace(n_in=np.array(n_in, dtype=float), **cols)
+
+
+def _take(cols: SimpleNamespace, lanes) -> SimpleNamespace:
+    """The columns of the given lanes only."""
+    return SimpleNamespace(**{name: v[..., lanes] for name, v in vars(cols).items()})
+
+
+def _occupation_lanes(cols: SimpleNamespace, delta, xi: float):
+    """`_occupation_lane` along the detuning on arrays: lane k is the system
+    and drive of column k at delta[..., k], bit for bit as on its floats
+    where K_eff > 0 and n_in > 0.  Returns (n_m, slope, odd): odd marks a
+    lane whose root or branch slope is not finite, where the scalar lane
+    may raise instead, and which the scalar path must take."""
+    with np.errstate(all="ignore"):
+        n_c = steady._polished_lower(cols.k_eff, delta, cols.kappa, cols.n_in)
+        dn_ddelta, dn_dflux = steady._root_slopes(cols.k_eff, cols.kappa, delta, n_c)
+        g_s, g_opt = cavity._rates(cols, cols.sq, delta, n_c)
+        dg_s, dg_opt = cavity._rate_slopes(cols, cols.sq, delta, n_c, 1.0, dn_ddelta)
+        n_m = cooling.rate_occupation(cols, g_s, g_opt, xi)[0]
+        denom = cols.gamma_m + g_opt
+        slope = np.where(denom > 0.0, ((1.0 - xi) * dg_s - n_m * dg_opt) / denom, np.nan)
+    return n_m, slope, ~(np.isfinite(n_c) & np.isfinite(dn_dflux))
+
+
 #: Relative tolerance of every bracketed root: 4 eps, the least that the
-#: reference `brentq` accepts; `_brent` transcribes its C code.
-ROOT_RTOL = 4.0 * np.finfo(float).eps
+#: reference `brentq` accepts; `_brent` transcribes its C code.  A Python
+#: float, so that iterates, roots and error texts stay plain floats.
+ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 #: Iteration cap of every bracketed root (`brentq`'s default maxiter).
 ROOT_MAXITER = 100
 
@@ -193,6 +232,74 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: flo
         f"Brent root in [{xa!r}, {xb!r}] did not converge in {ROOT_MAXITER} iterations")
 
 
+def _brent_lanes(f, xa, xb, fa, fb, xtol, rtol: float):
+    """`_brent` on arrays of brackets in lock-step: every lane runs the
+    scalar arithmetic on its own floats.  A lane that has finished leaves
+    the `active` mask with its result, and its later arithmetic is
+    discarded.  f(x, active) gives the function at x for every lane; a
+    lane that is no longer active is asked at its xa.  Returns (root,
+    iterations, errors): errors[k] is None, or the exception that `_brent`
+    raises on lane k, where its root is nan: a ConvergenceError at a nan
+    value or at the cap, or the ZeroDivisionError of an extrapolation
+    through a zero divisor."""
+    xa, xb, xtol = (np.array(v, dtype=float) for v in (xa, xb, xtol))
+    xpre, xcur = xa, xb
+    fpre, fcur = (np.array(v, dtype=float) for v in (fa, fb))
+    xblk = fblk = spre = scur = np.zeros_like(xa)
+    root, count = np.full_like(xa, np.nan), np.zeros(xa.shape, dtype=int)
+    errors = [None] * len(xa)
+    active = np.ones(xa.shape, dtype=bool)
+
+    def stop(lanes, error):
+        for k in np.flatnonzero(lanes):
+            errors[k] = error(k)
+        active[lanes] = False
+
+    with np.errstate(all="ignore"):
+        for iterations in range(1, ROOT_MAXITER + 1):
+            new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+            spre = np.where(new, xcur - xpre, spre)
+            scur = np.where(new, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            done = active & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            root[done], count[done] = xcur[done], iterations
+            active &= ~done
+            if not active.any():
+                break
+            tried = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            interpolate = xpre == xblk
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = dblk * dpre * (fblk - fpre)
+            stry = np.where(interpolate, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / extrapolated)
+            # the scalar form divides by zero here and raises
+            stop(active & tried & ~interpolate & ((xpre == xcur) | (xblk == xcur)
+                                                 | (extrapolated == 0.0)),
+                 lambda k: ZeroDivisionError("float division by zero"))
+            good = tried & (2.0 * np.abs(stry)
+                            < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0.0, delta, -delta))
+            fcur = np.asarray(f(np.where(active, xcur, xa), active), dtype=float)
+            stop(active & np.isnan(fcur), lambda k: ConvergenceError(
+                f"Brent root in [{float(xa[k])!r}, {float(xb[k])!r}]: "
+                f"the function is nan at {float(xcur[k])!r}"))
+        stop(active, lambda k: ConvergenceError(
+            f"Brent root in [{float(xa[k])!r}, {float(xb[k])!r}] did not converge "
+            f"in {ROOT_MAXITER} iterations"))
+    return root, count, errors
+
+
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
     """Root of f in [a, b] by Brent's method, in `_brent`'s transcription
     of the reference `brentq`, given fa = f(a) and fb = f(b), which are not
@@ -204,6 +311,15 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float):
     return _brent(f, a, b, fa, fb, 1e-15 * max(abs(a), abs(b)), ROOT_RTOL)[0]
 
 
+def _ranked_bracket(vals: np.ndarray, grid: np.ndarray):
+    """(g[i-1], g[i], g[i+1]) around the least sample vals[i], clipped to the
+    grid, as floats; None where no sample is finite."""
+    i = int(np.argmin(vals))
+    if not math.isfinite(vals[i]):
+        return None
+    return float(grid[max(0, i - 1)]), float(grid[i]), float(grid[min(len(grid) - 1, i + 1)])
+
+
 def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, lane):
     """Minimum of a function sampled as `vals` on `grid`; `lane(x)` gives
     its exact (value, slope) at x.  The samples only rank: the least one
@@ -213,20 +329,18 @@ def _grid_slope_min(vals: np.ndarray, grid: np.ndarray, lane):
     stands, with that exact value, not its sample.  Brent returns an end
     or an iterate, so the value at the root is one already computed.
     Returns (x, value)."""
-    i = int(np.argmin(vals))
-    if not math.isfinite(vals[i]):
+    ranked = _ranked_bracket(vals, grid)
+    if ranked is None:
         return math.nan, math.inf
+    a, g, b = ranked
     seen = {}
 
     def slope(x):
         seen[x] = lane(x)
         return seen[x][1]
 
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(len(grid) - 1, i + 1)])
     x = _bracketed_root(slope, a, b, slope(a), slope(b))
     fx = math.inf if x is None else seen[x][0]
-    g = float(grid[i])
     at_grid = (seen[g] if g in seen else lane(g))[0]
     if x is None or at_grid < fx:
         return g, float(at_grid)
@@ -248,11 +362,18 @@ def optimal_detuning(p: SystemParams, n_in: float, xi: float = 0.0,
     the bracket; Brent's method finds the root of dn_m/dDelta in it.  Every
     returned number comes from the scalar path, the occupation at a kept
     grid point (an edge minimum) too.  Returns (delta, occupation)."""
+    return _grid_slope_min(*_ranking(p, n_in, xi, window, grid_points),
+                           lambda d: _occupation_lane(p, d, n_in, xi))
+
+
+def _ranking(p: SystemParams, n_in: float, xi: float, window, grid_points: int):
+    """(samples, grid): the rate-form occupation on the unpolished
+    closed-form root over `grid_points` detunings of the window, the
+    ranking of `optimal_detuning`."""
     lo, hi = window or detuning_window(p)
     grid = np.linspace(lo, hi, grid_points)
     rates = cavity.rates(p, grid, steady._lower_closed_form(p, grid, n_in))
-    return _grid_slope_min(cooling.rate_occupation(p, *rates, xi)[0], grid,
-                           lambda d: _occupation_lane(p, d, n_in, xi))
+    return cooling.rate_occupation(p, *rates, xi)[0], grid
 
 
 def max_damping_point(p: SystemParams, n_in: float):
@@ -350,13 +471,23 @@ def _equal_drive_target(p: SystemParams, mode: Mode, cap_fraction: float):
     return (p.without_kerr() if mode is Mode.LINEAR_COMPARISON else p), n_in
 
 
+#: Ranking grid of a ground-state map cell and of a boundary probe.
+MAP_GRID_POINTS = PROFILE_POINTS // 2
+
+
+def _map_cell(p: SystemParams, omega_frac: float, mode: Mode, cap_fraction: float):
+    """(system, drive) of one ground-state map cell: the sideband variant at
+    omega_frac, at equal drive."""
+    return _equal_drive_target(sideband_variant(p, omega_frac), mode, cap_fraction)
+
+
 def _map_occupation(p: SystemParams, omega_frac: float, mode: Mode,
                     cap_fraction: float, xi: float) -> float:
-    """Least occupation of one ground-state map cell: the sideband variant
-    at omega_frac, at equal drive, over a `PROFILE_POINTS // 2` detuning
-    grid.  The one-phonon boundary is a root of this minus one."""
-    target, n_in = _equal_drive_target(sideband_variant(p, omega_frac), mode, cap_fraction)
-    return optimal_detuning(target, n_in, xi, grid_points=PROFILE_POINTS // 2)[1]
+    """Least occupation of one ground-state map cell over a
+    `MAP_GRID_POINTS` detuning grid, on the scalar path.  The one-phonon
+    boundary is a root of this minus one."""
+    return optimal_detuning(*_map_cell(p, omega_frac, mode, cap_fraction), xi,
+                            grid_points=MAP_GRID_POINTS)[1]
 
 
 # ----------------------------------------------------------------------
@@ -369,10 +500,16 @@ def _recorded(row: dict):
     `internal: <Type>: <message>`.  One bad row never aborts a sweep."""
     try:
         yield
-    except KerrcoolError as exc:
-        row["error"] = str(exc)
     except Exception as exc:
-        row["error"] = f"internal: {type(exc).__name__}: {exc}"
+        row["error"] = _error_text(exc)
+
+
+def _error_text(exc: Exception) -> str:
+    """A row's error text: a KerrcoolError by its message, any other
+    exception as `internal: <Type>: <message>`."""
+    if isinstance(exc, KerrcoolError):
+        return str(exc)
+    return f"internal: {type(exc).__name__}: {exc}"
 
 
 def _profile_row(p: SystemParams, p_lin: SystemParams, d: float, n_in: float,
@@ -595,18 +732,80 @@ def _power_row(p: SystemParams, omega_frac: float, mode: Mode,
     return row
 
 
-def _map_row(spec: SweepSpec, p: SystemParams, g0: float, omega_frac: float,
-             pb: SystemParams | None) -> dict:
-    """One map cell on pb, p at coupling g0 built once for its column; where
-    p refused g0 (pb None), the cell records that refusal."""
-    row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / p.kappa,
-           "omega_frac": omega_frac, "error": ""}
-    with _recorded(row):
-        n_m = _map_occupation(pb or p.replace(g0=g0), omega_frac, spec.mode,
-                              spec.cap_fraction, spec.squeeze_xi or 0.0)
-        row["n_m"] = n_m
-        row["ground_state"] = bool(n_m < 1.0)
-    return row
+def _set_cell(row: dict, n_m: float):
+    """A map cell's result columns."""
+    row["n_m"] = n_m
+    row["ground_state"] = bool(n_m < 1.0)
+
+
+#: Most cells in one lock-step search: its first lane evaluation, three
+#: points a cell, stays within one `PROFILE_POINTS` grid, as a block of the
+#: coarse flux scan does, so that peak memory stays that of a single grid.
+LOCK_STEP_CELLS = PROFILE_POINTS // 3
+
+
+def _search_cells(cells: list, xi: float):
+    """`optimal_detuning` of many map cells in lock-step, bit for bit as one
+    at a time.  Each cell is (row, system, drive, (a, g, b)), the bracket
+    and grid point of its own ranking; its least occupation, or the error
+    that its scalar search raises, goes into its row.  A cell that the
+    lanes do not carry (K_eff = 0 or no drive, or an odd lane) runs the
+    scalar path."""
+    scalar, lock_step = [], []
+    for cell in cells:
+        _, system, n_in, _ = cell
+        (lock_step if steady.effective_kerr(system) > 0.0 and n_in > 0.0 else scalar).append(cell)
+    if lock_step:
+        scalar += _lock_step(lock_step, xi)
+    for row, system, n_in, _ in scalar:
+        with _recorded(row):
+            _set_cell(row, optimal_detuning(system, n_in, xi, grid_points=MAP_GRID_POINTS)[1])
+
+
+def _lock_step(cells: list, xi: float) -> list:
+    """The lanes of `_search_cells`.  One lane evaluation takes both ends
+    and the grid point of every cell; `_brent_lanes` finds the roots of
+    the slope; `_grid_slope_min`'s rule keeps the root or the grid point.
+    Returns the cells with an odd lane, whose rows stay untouched."""
+    rows, systems, drives, ranked = zip(*cells)
+    cols = _lane_columns(systems, drives)
+    a, g, b = np.array(ranked).T
+    (n_a, n_b, n_g), (fa, fb, _), odd = _occupation_lanes(cols, np.array([a, b, g]), xi)
+    odd = odd.any(axis=0)
+    # `_bracketed_root`: an end where the slope vanishes, else Brent's
+    # method where the ends differ in sign
+    x = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    n_x = np.where(fa == 0.0, n_a, np.where(fb == 0.0, n_b, np.inf))
+    errors = [None] * len(rows)
+    lanes = np.flatnonzero(~odd & ((fa < 0.0) & (0.0 < fb) | (fb < 0.0) & (0.0 < fa)))
+    if len(lanes):
+        sub = _take(cols, lanes)
+        seen_x, seen_n = [a[lanes], b[lanes]], [n_a[lanes], n_b[lanes]]
+
+        def slope(d, active):
+            n_m, f, bad = _occupation_lanes(sub, d, xi)
+            seen_x.append(d)
+            seen_n.append(n_m)
+            odd[lanes[bad & active]] = True
+            return np.where(bad, np.nan, f)
+
+        ends = np.maximum(np.abs(a[lanes]), np.abs(b[lanes]))
+        root, _, failed = _brent_lanes(slope, a[lanes], b[lanes], fa[lanes], fb[lanes],
+                                       1e-15 * ends, ROOT_RTOL)
+        # the occupation at each root, which Brent has evaluated
+        at = np.argmax(np.array(seen_x) == root, axis=0)
+        x[lanes], n_x[lanes] = root, np.array(seen_n)[at, np.arange(len(lanes))]
+        for k, error in zip(lanes.tolist(), failed):
+            errors[k] = error
+    n_m = np.where(np.isnan(x) | (n_g < n_x), n_g, n_x).tolist()
+    for k, row in enumerate(rows):
+        if odd[k]:
+            continue
+        if errors[k] is not None:
+            row["error"] = _error_text(errors[k])
+        else:
+            _set_cell(row, n_m[k])
+    return [cell for cell, deferred in zip(cells, odd.tolist()) if deferred]
 
 
 def _boundary_row(spec: SweepSpec, pb: SystemParams, cells: list) -> dict:
@@ -683,21 +882,42 @@ def _profile_rows(spec: SweepSpec, p: SystemParams) -> list:
 
 def _map_rows(spec: SweepSpec, p: SystemParams) -> list:
     """The (g0, omega_frac) cells, then per coupling the one-phonon
-    boundary.  The map runs one coupling column at a time: its cells
-    first, then its boundary from those cells, which reuses them as
-    samples and runs Brent's method in the pair that brackets the crossing."""
+    boundary.  Each cell ranks its own detuning grid; then the searches of
+    the sweep's cells run in lock-step (`_search_cells`), all of them at
+    once up to `LOCK_STEP_CELLS` cells.  The boundaries follow, column by
+    column, each from its column's cells, which it reuses as samples, with
+    Brent's method in the pair that brackets the crossing."""
     o_axis = _omega_values(spec)
     ascending = sorted(range(len(o_axis)), key=o_axis.__getitem__)
-    cells, boundaries = [], []
+    xi = spec.squeeze_xi or 0.0
+    columns, cells = [], []
     for g0 in _g0_values(spec):
         try:
             pb = p.replace(g0=g0)
         except KerrcoolError:
             pb = None
-        column = [_map_row(spec, p, g0, o, pb) for o in o_axis]
-        cells += column
-        boundaries.append(_boundary_row(spec, pb, [column[i] for i in ascending]))
-    return cells + boundaries
+        column = []
+        for o in o_axis:
+            row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / p.kappa,
+                   "omega_frac": o, "error": ""}
+            # where p refused g0 (pb None), the cell records that refusal
+            with _recorded(row):
+                system, n_in = _map_cell(pb or p.replace(g0=g0), o, spec.mode,
+                                         spec.cap_fraction)
+                ranked = _ranked_bracket(*_ranking(system, n_in, xi, None, MAP_GRID_POINTS))
+                if ranked is None:
+                    _set_cell(row, math.inf)
+                else:
+                    cells.append((row, system, n_in, ranked))
+            column.append(row)
+            if len(cells) == LOCK_STEP_CELLS:
+                _search_cells(cells, xi)
+                cells = []
+        columns.append((pb, column))
+    _search_cells(cells, xi)
+    boundaries = [_boundary_row(spec, pb, [column[i] for i in ascending])
+                  for pb, column in columns]
+    return [row for _, column in columns for row in column] + boundaries
 
 
 #: Each sweep kind: the axes it reads, whether it reads a purity xi and a mode

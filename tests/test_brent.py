@@ -1,7 +1,8 @@
 """The Brent root of every 1-D search against `scipy.optimize.brentq`,
 which it transcribes: the same root bit for bit and the same iteration
 count, on seeded synthetic brackets and on the slope callbacks of the
-optimizers; a typed error at the iteration cap and on a NaN iterate."""
+optimizers; a typed error at the iteration cap and on a NaN iterate; and
+the lock-step form, many brackets per call, against `_brent` lane by lane."""
 import math
 
 import numpy as np
@@ -103,6 +104,86 @@ class TestSyntheticBrackets:
             brentq(f, 0.0, 1.0)
         with pytest.raises(ConvergenceError, match="the function is nan at"):
             sweeps._bracketed_root(f, 0.0, 1.0, f(0.0), f(1.0))
+
+
+# ----------------------------------------------------------------------
+# the lock-step form, many brackets per call
+
+def _lanes(cases):
+    """f(x, active) of `_brent_lanes` over the scalar functions of `cases`,
+    each asked at its own float."""
+    def f(x, active):
+        assert x.shape == (len(cases),) and active.shape == x.shape
+        return np.array([case[0](v) for case, v in zip(cases, x.tolist())])
+    return f
+
+
+def _nan_near_root(f, a, b):
+    """f, but NaN within 1e-3 of the bracket width around its root, which
+    Brent reaches after a few iterates."""
+    r = brentq(f, a, b, disp=False)
+    width = abs(b - a)
+    return lambda x: math.nan if abs(x - r) < 1e-3 * width else f(x)
+
+
+def _assert_lanes_equal_brent(cases):
+    """`_brent_lanes` on all of `cases` (f, a, b, xtol) in one call against
+    `_brent` on each: the same root bits and iteration count, or the same
+    exception type and text.  Returns the scalar outcomes."""
+    xa, xb = [c[1] for c in cases], [c[2] for c in cases]
+    fa, fb = [c[0](c[1]) for c in cases], [c[0](c[2]) for c in cases]
+    root, count, errors = sweeps._brent_lanes(
+        _lanes(cases), xa, xb, fa, fb, [c[3] for c in cases], sweeps.ROOT_RTOL)
+    outcomes = []
+    for k, (f, a, b, xtol) in enumerate(cases):
+        try:
+            want = sweeps._brent(f, a, b, fa[k], fb[k], xtol, sweeps.ROOT_RTOL)
+        except ConvergenceError as exc:
+            assert type(errors[k]) is ConvergenceError and str(errors[k]) == str(exc), k
+            assert math.isnan(root[k])
+            outcomes.append(str(exc))
+            continue
+        assert errors[k] is None, (k, errors[k])
+        assert (float(root[k]).hex(), int(count[k])) == (want[0].hex(), want[1]), k
+        outcomes.append(want[1])
+    return outcomes
+
+
+class TestLockStep:
+    @staticmethod
+    def _cases(seed, count):
+        return [(f, a, b, xtol) for f, a, b in _synthetic_brackets(seed, count)
+                for xtol, _ in _tolerances(a, b)]
+
+    def test_roots_iterations_and_cap_equal_brent(self):
+        outcomes = _assert_lanes_equal_brent(self._cases(seed=16, count=600))
+        converged = [n for n in outcomes if isinstance(n, int)]
+        capped = [e for e in outcomes if isinstance(e, str)]
+        assert min(converged) <= 5 and max(converged) >= 40
+        assert len(capped) > 50 and all("did not converge in 100" in e for e in capped)
+
+    def test_nan_lanes_leave_their_neighbours(self):
+        cases = self._cases(seed=17, count=200)
+        # every third lane turns NaN near its root, at some iterate
+        cases = [(_nan_near_root(f, a, b), a, b, xtol) if k % 3 == 0 else (f, a, b, xtol)
+                 for k, (f, a, b, xtol) in enumerate(cases)]
+        outcomes = _assert_lanes_equal_brent(cases)
+        nan = [e for e in outcomes if isinstance(e, str) and "the function is nan at" in e]
+        assert len(nan) > len(cases) // 6
+        assert sum(isinstance(n, int) for n in outcomes) > len(cases) // 3
+
+    def test_nan_at_first_iterate(self):
+        def f(x):
+            return x - 0.3 if x in (0.0, 1.0) else math.nan
+
+        _assert_lanes_equal_brent([(f, 0.0, 1.0, 1e-15), (lambda x: x - 0.3, 0.0, 1.0, 1e-15)])
+
+    def test_lowered_cap(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "ROOT_MAXITER", 6)
+        outcomes = _assert_lanes_equal_brent(self._cases(seed=18, count=200))
+        assert any(isinstance(n, int) for n in outcomes)
+        assert any(isinstance(e, str) and "did not converge in 6 iterations" in e
+                   for e in outcomes)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact slopes and the bracketed roots built on them: the rate and root
 derivatives against complex-step and 50-digit mpmath derivatives, the
 1-D optima against 40-digit mpmath stationary points, their independence
-of the coarse grid, the one-phonon boundary against a bisection, and a
-map's boundaries, found from its columns' cells, against it."""
+of the coarse grid, the one-phonon boundary against a bisection, a map's
+boundaries, found from its columns' cells, against it, and a map's cells,
+searched in lock-step, against one scalar search each."""
 import math
 
 import mpmath
@@ -11,7 +12,7 @@ import pytest
 
 import kerrcool as kc
 from kerrcool import cavity, steady, sweeps
-from kerrcool.errors import ConvergenceError
+from kerrcool.errors import ConvergenceError, KerrcoolError
 from kerrcool.params import CRITICAL_POWER_FRACTION, TAU
 
 #: Drive fractions of the bifurcation flux, omega_m/kappa values, and
@@ -335,15 +336,16 @@ class TestOnePhononBoundary:
 
     @staticmethod
     def _counted(monkeypatch):
-        """The omega_frac of every `_map_occupation` call, and the bracket
-        and iteration count of every Brent root on an omega_frac bracket
-        (the detuning searches inside a cell run their own), in call order."""
+        """The omega_frac of every map cell and boundary probe (each sets up
+        its system once, by `_map_cell`), and the bracket and iteration
+        count of every Brent root on an omega_frac bracket (the detuning
+        searches of the probes run their own), in call order."""
         fracs, iterations = [], []
-        occupation, brent = sweeps._map_occupation, sweeps._brent
+        cell, brent = sweeps._map_cell, sweeps._brent
 
-        def counted_occupation(p, frac, *args):
+        def counted_cell(p, frac, *args):
             fracs.append(frac)
-            return occupation(p, frac, *args)
+            return cell(p, frac, *args)
 
         def counted_brent(f, xa, xb, *args):
             root, count = brent(f, xa, xb, *args)
@@ -351,7 +353,7 @@ class TestOnePhononBoundary:
                 iterations.append((xa, xb, count))
             return root, count
 
-        monkeypatch.setattr(sweeps, "_map_occupation", counted_occupation)
+        monkeypatch.setattr(sweeps, "_map_cell", counted_cell)
         monkeypatch.setattr(sweeps, "_brent", counted_brent)
         return fracs, iterations
 
@@ -398,15 +400,14 @@ class TestOnePhononBoundary:
                                                                  monkeypatch):
         fracs, iterations = self._counted(monkeypatch)
         boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
-        count = self.OMEGA_AXIS[2]
-        axis = [c["omega_frac"] for c in cells[:count]]
+        # every cell once, column by column, and then the boundaries
+        assert fracs[:len(cells)] == [c["omega_frac"] for c in cells]
+        fracs = fracs[len(cells):]
         assert len(iterations) == len(boundaries)
         for row, (xa, xb, steps) in zip(boundaries, iterations):
-            # the column's cells, then Brent in their crossing pair with one
-            # call per iterate: the last iteration stops without one, and
-            # no end is probed again
-            assert fracs[:count] == axis
-            brent, fracs = fracs[count:count + steps - 1], fracs[count + steps - 1:]
+            # Brent in the column's crossing pair with one call per iterate:
+            # the last iteration stops without one, and no end is probed again
+            brent, fracs = fracs[:steps - 1], fracs[steps - 1:]
             assert (xa, xb) == self._crossing_pair(cells, row["g0_hz"])
             assert brent and all(xa < x < xb for x in brent)
         assert fracs == []
@@ -417,14 +418,14 @@ class TestOnePhononBoundary:
                                        RuntimeError("boom")])
     def test_failed_end_cell_fails_the_boundary(self, defaults, mode, end, error, monkeypatch):
         failing = self.OMEGA_AXIS[:2][end]
-        occupation = sweeps._map_occupation
+        cell = sweeps._map_cell
 
         def fail_at_end(p, frac, *args):
             if frac == failing:
                 raise error
-            return occupation(p, frac, *args)
+            return cell(p, frac, *args)
 
-        monkeypatch.setattr(sweeps, "_map_occupation", fail_at_end)
+        monkeypatch.setattr(sweeps, "_map_cell", fail_at_end)
         boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
         failed = [c["error"] for c in cells if c["omega_frac"] == failing]
         assert len(failed) == 3 and failed[0]
@@ -444,21 +445,206 @@ class TestOnePhononBoundary:
 
     @pytest.mark.parametrize("mode", list(sweeps.Mode))
     def test_failed_inner_cell_is_left_out(self, defaults, mode, monkeypatch):
-        occupation = sweeps._map_occupation
+        cell = sweeps._map_cell
 
         def fail_inside(p, frac, *args):
             if frac == 0.25:
                 raise ConvergenceError("probe failed")
-            return occupation(p, frac, *args)
+            return cell(p, frac, *args)
 
-        monkeypatch.setattr(sweeps, "_map_occupation", fail_inside)
+        monkeypatch.setattr(sweeps, "_map_cell", fail_inside)
         boundaries, cells = self._map(defaults, mode, self._couplings(mode), self.OMEGA_AXIS)
         assert sum(bool(c["error"]) for c in cells) == 3
-        monkeypatch.setattr(sweeps, "_map_occupation", occupation)
+        monkeypatch.setattr(sweeps, "_map_cell", cell)
         for row in boundaries:
             onset = sweeps.ground_state_onset_omega(defaults, TAU * row["g0_hz"], mode,
                                                     bracket=self.OMEGA_AXIS[:2])
             assert row["omega_frac"] == pytest.approx(onset, rel=1e-12, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# a map's cells, searched in lock-step, against one scalar search each
+
+def _scalar_cells(spec, p):
+    """A map's cell rows one at a time, each by `_map_occupation` on the
+    scalar path, with the error text a sweep row records."""
+    xi = spec.squeeze_xi or 0.0
+    rows = []
+    for g0 in sweeps._g0_values(spec):
+        for frac in sweeps._omega_values(spec):
+            row = {"kind": "map", "g0_hz": g0 / TAU, "g0_over_kappa": g0 / p.kappa,
+                   "omega_frac": frac, "error": ""}
+            try:
+                n_m = sweeps._map_occupation(p.replace(g0=g0), frac, spec.mode,
+                                             spec.cap_fraction, xi)
+                row.update(n_m=n_m, ground_state=bool(n_m < 1.0))
+            except KerrcoolError as exc:
+                row["error"] = str(exc)
+            except Exception as exc:
+                row["error"] = f"internal: {type(exc).__name__}: {exc}"
+            rows.append(row)
+    return rows
+
+
+class TestLockStepCells:
+    @staticmethod
+    def _spec(seed, mode, xi=None, cap=CRITICAL_POWER_FRACTION):
+        """Seeded axes: three couplings from 2-3 kHz to 33-50 kHz and five
+        frequencies from 0.02-0.06 to 0.3-0.6 of kappa."""
+        rng = np.random.default_rng(seed)
+        axes = {"g0_hz": sweeps.AxisRange(rng.uniform(2e3, 3e3), rng.uniform(33e3, 50e3),
+                                          3, "log"),
+                "omega_frac": sweeps.AxisRange(rng.uniform(0.02, 0.06), rng.uniform(0.3, 0.6),
+                                               5)}
+        return sweeps.SweepSpec(sweeps.SweepKind.GROUND_STATE_MAP, axes, mode, cap, xi)
+
+    @staticmethod
+    def _assert_cells_equal(spec, p, monkeypatch):
+        """The sweep's cell rows against `_scalar_cells`, bit for bit and
+        error texts too.  Returns (cells, lanes): lanes counts the cells of
+        each lock-step search, none of which may fall back to the scalar
+        path."""
+        want = _scalar_cells(spec, p)
+        lock_step, lanes = sweeps._lock_step, []
+
+        def counted(cells, xi):
+            deferred = lock_step(cells, xi)
+            assert deferred == []
+            lanes.append(len(cells))
+            return deferred
+
+        monkeypatch.setattr(sweeps, "_lock_step", counted)
+        got = [row for row in sweeps.run_sweep(spec, p) if row["kind"] == "map"]
+        monkeypatch.setattr(sweeps, "_lock_step", lock_step)
+        assert list(map(repr, got)) == list(map(repr, want))
+        return got, lanes
+
+    @pytest.mark.parametrize("xi", [0.0, 0.9])
+    def test_lanes_equal_scalar_lane(self, defaults, xi):
+        # 3,000 seeded systems, one lane each, against `_occupation_lane` on
+        # their floats: numpy's square of a column would differ from the
+        # float `** 2` on about 1 value in 1,200
+        rng = np.random.default_rng(29)
+        systems, drives, deltas = [], [], []
+        for k in range(3000):
+            p = sweeps.sideband_variant(defaults.replace(
+                g0=TAU * 10.0 ** rng.uniform(2.5, 5.0), kappa=defaults.kappa * rng.uniform(0.5, 2.0),
+                kerr=defaults.kerr * rng.uniform(0.1, 2.0)), rng.uniform(0.02, 2.0))
+            p = p.without_kerr() if k % 2 else p
+            systems.append(p)
+            drives.append(steady.bifurcation(p).n_in_bi * 10.0 ** rng.uniform(-4.0, 0.0))
+            deltas.append(rng.uniform(*sweeps.detuning_window(p)))
+        n_m, slope, odd = sweeps._occupation_lanes(sweeps._lane_columns(systems, drives),
+                                                   np.array(deltas), xi)
+        assert not odd.any()
+        for k, (p, n_in, d) in enumerate(zip(systems, drives, deltas)):
+            assert repr((float(n_m[k]), float(slope[k]))) == \
+                repr(sweeps._occupation_lane(p, d, n_in, xi)), k
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    @pytest.mark.parametrize("xi", [None, 0.9])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cells_equal_scalar_search(self, defaults, mode, xi, seed, monkeypatch):
+        cells, lanes = self._assert_cells_equal(self._spec(seed, mode, xi), defaults,
+                                                monkeypatch)
+        # one search over all the sweep's cells, across every column
+        assert lanes == [15] and not any(c["error"] for c in cells)
+        assert any(c["ground_state"] for c in cells)
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    @pytest.mark.parametrize("cap", [1.0 - 1e-12, 1.0])
+    def test_near_cusp_drives(self, defaults, mode, cap, monkeypatch):
+        cells, lanes = self._assert_cells_equal(self._spec(3, mode, cap=cap), defaults,
+                                                monkeypatch)
+        assert lanes == [15] and not any(c["error"] for c in cells)
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_edge_minima(self, defaults, mode, monkeypatch):
+        # n_th = 0: some cells keep the grid point, their slope never
+        # changing sign in the bracket
+        p, spec = defaults.replace(n_th=0.0), self._spec(4, mode)
+        edges, bracketed = [], sweeps._bracketed_root
+
+        def counted(*args):
+            x = bracketed(*args)
+            edges.append(x is None)
+            return x
+
+        monkeypatch.setattr(sweeps, "_bracketed_root", counted)
+        _scalar_cells(spec, p)
+        monkeypatch.undo()
+        assert 0 < sum(edges) < len(edges)
+        self._assert_cells_equal(spec, p, monkeypatch)
+
+    @pytest.mark.parametrize("mode,lanes", [(sweeps.Mode.NONLINEAR, [15]),
+                                            (sweeps.Mode.LINEAR_COMPARISON, [10])])
+    def test_decoupled_column(self, defaults, mode, lanes, monkeypatch):
+        # at g0 = 0 the slope vanishes at both ends, and n_m = n_th; without
+        # the intrinsic Kerr, K_eff = 0 leaves those cells to the scalar path
+        spec = sweeps.SweepSpec(sweeps.SweepKind.GROUND_STATE_MAP,
+                                {"g0_hz": sweeps.AxisRange(0.0, 2e4, 3),
+                                 "omega_frac": sweeps.AxisRange(0.05, 0.35, 5)}, mode)
+        cells, searched = self._assert_cells_equal(spec, defaults, monkeypatch)
+        assert searched == lanes
+        assert [c["n_m"] for c in cells[:5]] == [
+            sweeps.sideband_variant(defaults, frac).n_th for frac in sweeps._omega_values(spec)]
+
+    @pytest.mark.parametrize("mode", list(sweeps.Mode))
+    def test_infeasible_cells(self, defaults, mode, monkeypatch):
+        # no bath and a perfectly squeezed drive: n_m = 0 is no occupation
+        # the rate form accepts, so every sample is +inf and no lane runs
+        cells, lanes = self._assert_cells_equal(self._spec(5, mode, xi=1.0),
+                                                defaults.replace(n_th=0.0), monkeypatch)
+        assert lanes == [] and all(c["n_m"] == math.inf for c in cells)
+
+    @pytest.mark.parametrize("error", [ConvergenceError("setup failed"), RuntimeError("boom")])
+    def test_failing_cell_setup(self, defaults, error, monkeypatch):
+        spec = self._spec(6, sweeps.Mode.NONLINEAR)
+        failing = sweeps._omega_values(spec)[2]
+        cell = sweeps._map_cell
+
+        def fail_one(p, frac, *args):
+            if frac == failing and p.g0 == sweeps._g0_values(spec)[1]:
+                raise error
+            return cell(p, frac, *args)
+
+        monkeypatch.setattr(sweeps, "_map_cell", fail_one)
+        cells, lanes = self._assert_cells_equal(spec, defaults, monkeypatch)
+        assert lanes == [14] and sum(bool(c["error"]) for c in cells) == 1
+
+    @pytest.mark.parametrize("mode,cap", [(sweeps.Mode.NONLINEAR, 6),
+                                          (sweeps.Mode.LINEAR_COMPARISON, 5)])
+    def test_iteration_cap(self, defaults, mode, cap, monkeypatch):
+        # a cap below the most iterations a cell takes stops some searches
+        # and not others
+        monkeypatch.setattr(sweeps, "ROOT_MAXITER", cap)
+        cells, _ = self._assert_cells_equal(self._spec(7, mode), defaults, monkeypatch)
+        failed = [c["error"] for c in cells if c["error"]]
+        assert 0 < len(failed) < len(cells)
+        assert all(e.startswith("Brent root in [")
+                   and e.endswith(f"did not converge in {cap} iterations") for e in failed)
+
+    def test_nan_iterate(self, defaults, monkeypatch):
+        # the detuning slope of two cells is nan off their ranking grids
+        spec = self._spec(8, sweeps.Mode.NONLINEAR)
+        targets = [sweeps._map_cell(defaults.replace(g0=g0), frac, spec.mode, spec.cap_fraction)
+                   for g0 in sweeps._g0_values(spec) for frac in sweeps._omega_values(spec)]
+        broken = [kc.effective_kerr(targets[k][0]) for k in (3, 11)]
+        on_grid = np.concatenate([np.linspace(*sweeps.detuning_window(t), sweeps.MAP_GRID_POINTS)
+                                  for t, _ in targets])
+        root_slopes = steady._root_slopes
+
+        def nan_off_grid(k_eff, kappa, delta, n_c):
+            d_delta, d_flux = root_slopes(k_eff, kappa, delta, n_c)
+            nan = np.isin(k_eff, broken) & ~np.isin(delta, on_grid)
+            return np.where(nan, math.nan, d_delta), d_flux
+
+        monkeypatch.setattr(steady, "_root_slopes", nan_off_grid)
+        cells, lanes = self._assert_cells_equal(spec, defaults, monkeypatch)
+        failed = [c["error"] for c in cells if c["error"]]
+        assert lanes == [15] and len(failed) == 2
+        assert all(e.startswith("Brent root in [") and "the function is nan at" in e
+                   and "np." not in e for e in failed)
 
 
 # ----------------------------------------------------------------------

@@ -241,7 +241,7 @@ class TestRunSweep:
         (SweepKind.SIDEBAND_SWEEP, {"omega_frac": (0.1, 0.2)}, "optimal_detuning"),
         (SweepKind.OPTIMAL_POWER_CURVE, {"omega_frac": (0.1, 0.2)}, "optimal_detuning"),
         (SweepKind.GROUND_STATE_MAP, {"g0_hz": (1e4, 2e4), "omega_frac": (0.1, 0.2)},
-         "_map_occupation"),
+         "_map_cell"),
     ])
     def test_internal_error_stays_in_its_row(self, defaults, monkeypatch, kind, axes, broken):
         # a defect (no KerrcoolError) inside a row is recorded there, typed,
@@ -319,6 +319,22 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert flag in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind", [["--kind", "nn"], ["--kind", "bb"],
+                                      ["--kind", "ff", "--xi", "0.9"]])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_largest_spectrum_span(self, kind, oracle, capsys):
+        # the largest half span keeps the fourth power of the grid's
+        # angular end finite: every kind evaluates there without a warning
+        # (warnings are errors under this suite), and the next float up is
+        # a usage error
+        bound = 1.8428883373056723e76
+        argv = ["spectrum", "--points", "5"] + kind + oracle + ["--omega-span-hz"]
+        assert run_cli(argv + [repr(bound)]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(argv + [repr(float(np.nextafter(bound, np.inf)))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--omega-span-hz" in captured.err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
